@@ -150,7 +150,7 @@ def _fit_model(name: str, values: np.ndarray, restarts: int, level: float):
             "order": list(submodels.COMPETITOR_PARAM_NAMES[name]),
             "values": [float(v) for v in cov.ravel()],
         }
-    except Exception:
+    except (EgwgError, np.linalg.LinAlgError):
         pass   # curvature is best-effort for competitor models
     return fm, payload, True
 
@@ -190,8 +190,6 @@ def _cmd_curves(args) -> int:
 
 def _cmd_sample(args) -> int:
     p = _params_from(args)
-    if args.n < 1:
-        raise DomainError(f"sample size must be >= 1, got {args.n}")
     draws = dist.sample(p, args.n, args.seed)
     _emit("".join(_fmt(v) + "\n" for v in draws), args.out)
     return EXIT_OK

@@ -111,6 +111,7 @@ def _log1mexp(z, logz):
     return out
 
 
+# Not shared with estimation._kernel: fits summed in its order, (log a + b log x) + L, move.
 def _inner(p: EgwgParams, x):
     """Return (z, log z, s = x^d, c*s) for x > 0, all elementwise."""
     x = np.asarray(x, dtype=float)
@@ -144,15 +145,20 @@ def _ret(values: np.ndarray, scalar: bool):
 # distribution functions
 # ---------------------------------------------------------------------------
 
-def log_cdf(p: EgwgParams, x):
-    """log F(x) for x >= 0 (log of 0 at x = 0 is -inf)."""
+def _log_F(p: EgwgParams, x) -> tuple[np.ndarray, bool]:
+    """(log F(x) for x >= 0, scalar flag); log F(0) = -inf."""
     xs, scalar = _as_x_array(x, allow_zero=True)
     out = np.full(xs.shape, -np.inf)
     pos = xs > 0.0
     if np.any(pos):
         z, logz, _, _ = _inner(p, xs[pos])
         out[pos] = p.theta * _log1mexp(z, logz)
-    return _ret(out, scalar)
+    return out, scalar
+
+
+def log_cdf(p: EgwgParams, x):
+    """log F(x) for x >= 0 (log of 0 at x = 0 is -inf)."""
+    return _ret(*_log_F(p, x))
 
 
 def cdf(p: EgwgParams, x):
@@ -163,27 +169,15 @@ def cdf(p: EgwgParams, x):
 
 def log_survival(p: EgwgParams, x):
     """log R(x), evaluated as its own expression (not via 1 - cdf)."""
-    xs, scalar = _as_x_array(x, allow_zero=True)
-    out = np.zeros(xs.shape)
-    pos = xs > 0.0
-    if np.any(pos):
-        z, logz, _, _ = _inner(p, xs[pos])
-        lf = p.theta * _log1mexp(z, logz)
-        with np.errstate(divide="ignore"):
-            out[pos] = np.log(-np.expm1(lf))
-    return _ret(out, scalar)
+    lf, scalar = _log_F(p, x)
+    with np.errstate(divide="ignore"):
+        return _ret(np.log(-np.expm1(lf)), scalar)
 
 
 def survival(p: EgwgParams, x):
     """R(x) = 1 - F(x), keeping full precision for values near 1."""
-    xs, scalar = _as_x_array(x, allow_zero=True)
-    out = np.ones(xs.shape)
-    pos = xs > 0.0
-    if np.any(pos):
-        z, logz, _, _ = _inner(p, xs[pos])
-        lf = p.theta * _log1mexp(z, logz)
-        out[pos] = -np.expm1(lf)
-    return _ret(out, scalar)
+    lf, scalar = _log_F(p, x)
+    return _ret(-np.expm1(lf), scalar)
 
 
 def _theta_clamp_x(p: EgwgParams) -> float:
@@ -274,21 +268,18 @@ def reversed_hazard(p: EgwgParams, x):
 # quantiles, mode, sampling
 # ---------------------------------------------------------------------------
 
-def _log_target(p: EgwgParams, q: float) -> float:
-    """log of t(q) = -ln(1 - q^{1/theta}) / a with u = q^{1/theta}.
+def _log_target(p: EgwgParams, q: np.ndarray) -> np.ndarray:
+    """log of t(q) = -ln(1 - q^{1/theta}) / a with u = q^{1/theta}, for q > 0.
 
     Three branches keep full relative precision: u negligible (t = u),
     u below 1/2 (log1p on -u), and u near 1 (1 - u formed by expm1 so it
     survives u rounding to 1.0).
     """
-    lnu = math.log(q) / p.theta
-    if lnu < -36.0:
-        t_log = lnu                                  # -log1p(-u) = u to 1 ulp
-    elif lnu < -_LN2:
-        t_log = math.log(-math.log1p(-math.exp(lnu)))
-    else:
-        t_log = math.log(-math.log(-math.expm1(lnu)))
-    return t_log - math.log(p.a)
+    lnu = np.log(q) / p.theta
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        small = np.log(-np.log1p(-np.exp(lnu)))
+        near1 = np.log(-np.log(-np.expm1(lnu)))
+    return np.where(lnu < -36.0, lnu, np.where(lnu < -_LN2, small, near1)) - math.log(p.a)
 
 
 def quantile(p: EgwgParams, q) -> float:
@@ -302,7 +293,7 @@ def quantile(p: EgwgParams, q) -> float:
         raise DomainError(f"quantile requires 0 <= q < 1, got {q!r}")
     if q == 0.0:
         return 0.0
-    log_t = _log_target(p, q)
+    log_t = float(_log_target(p, np.array([q]))[0])
 
     def g(x: float) -> float:
         return p.b * math.log(x) + float(_log_expm1(p.c * x ** p.d))
@@ -387,12 +378,7 @@ def _batch_quantile(p: EgwgParams, q: np.ndarray) -> np.ndarray:
     if not np.any(pos):
         return out
     qq = q[pos]
-    lnu = np.log(qq) / p.theta
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        small = np.log(-np.log1p(-np.exp(lnu)))      # full precision for u < 1/2
-        near1 = np.log(-np.log(-np.expm1(lnu)))      # survives u rounding to 1
-        log_t = np.where(lnu < -36.0, lnu,
-                         np.where(lnu < -_LN2, small, near1)) - math.log(p.a)
+    log_t = _log_target(p, qq)
 
     def g(v):   # strictly increasing in v = log x
         return p.b * v + _log_expm1(p.c * np.exp(p.d * v))

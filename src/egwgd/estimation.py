@@ -166,19 +166,18 @@ def loglik(p: EgwgParams, data: Dataset) -> float:
     return total if math.isfinite(total) else -math.inf
 
 
-def _point_kernels(p: EgwgParams, x: np.ndarray):
-    """Per-point quantities shared by the gradient components."""
+def _kernel(a, b, c, d, x: np.ndarray):
+    """(log x, s = x^d, c s, log g, log z, z) with g = x^b (e^{cs} - 1).
+
+    log z = log a + (b log x + log(e^{cs} - 1)); the fits follow this
+    summation order to the last bit.
+    """
     lnx = np.log(x)
-    s = x ** p.d
-    cs = p.c * s
-    log_s = p.d * lnx
-    lg = p.b * lnx + dist._log_expm1(cs)            # log of x^b (e^{cs} - 1)
-    logz = math.log(p.a) + lg
-    z = np.exp(logz)
-    lem1z = np.where(logz < -36.0, logz, dist._log_expm1(np.maximum(z, 1e-300)))
-    lnP = dist._log1mexp(z, logz)
-    W = 1.0 + (p.c * p.d / p.b) * s - np.exp(-cs)
-    return lnx, s, cs, log_s, lg, z, lem1z, lnP, W
+    s = x ** d
+    cs = c * s
+    lg = b * lnx + dist._log_expm1(cs)
+    logz = math.log(a) + lg
+    return lnx, s, cs, lg, logz, np.exp(logz)
 
 
 def loglik_grad(p: EgwgParams, data: Dataset) -> np.ndarray:
@@ -194,7 +193,11 @@ def loglik_grad(p: EgwgParams, data: Dataset) -> np.ndarray:
     n = x.size
     a, b, c, d, th = p.a, p.b, p.c, p.d, p.theta
     with np.errstate(all="ignore"):
-        lnx, s, cs, log_s, lg, z, lem1z, lnP, W = _point_kernels(p, x)
+        lnx, s, cs, lg, logz, z = _kernel(a, b, c, d, x)
+        log_s = d * lnx
+        lem1z = np.where(logz < -36.0, logz, dist._log_expm1(np.maximum(z, 1e-300)))
+        lnP = dist._log1mexp(z, logz)
+        W = 1.0 + (c * d / b) * s - np.exp(-cs)
         g = np.exp(lg)                       # x^b (e^{cs} - 1)
         t_g = np.exp(lg - lem1z)             # g / (e^z - 1)
         xbsE = np.exp(b * lnx + log_s + cs)  # x^b s e^{cs}
@@ -222,12 +225,8 @@ def profile_theta(a: float, b: float, c: float, d: float, data: Dataset) -> floa
     """
     if min(a, b, c, d) <= 0.0:
         raise InvalidParametersError("profile_theta requires a, b, c, d > 0")
-    x = data.values
     with np.errstate(all="ignore"):
-        cs = c * x ** d
-        lg = b * np.log(x) + dist._log_expm1(cs)
-        logz = math.log(a) + lg
-        z = np.exp(logz)
+        _, _, _, _, logz, z = _kernel(a, b, c, d, data.values)
         if np.any(np.isnan(logz)) or np.any(logz == -np.inf):
             raise LeftTailUnderflowError("inner exponent underflowed to 0 for some point")
         lnP = dist._log1mexp(z, logz)
@@ -248,49 +247,36 @@ _BIG = 1e13
 
 
 class _Objective:
-    """Profiled negative log-likelihood over u = log(a, b, c, d)."""
+    """Profiled negative log-likelihood over u = log(a, b, c, d).
+
+    The value at u is exactly -loglik at (a, b, c, d, profile_theta(...)),
+    or _BIG where theta cannot be profiled or the likelihood is -inf.
+    """
 
     def __init__(self, data: Dataset):
         self.data = data
-        self.x = data.values
-        self.n = data.n
         self.n_evals = 0
 
-    def theta(self, u: np.ndarray) -> float:
-        a, b, c, d = np.exp(u)
-        return profile_theta(a, b, c, d, self.data)
-
-    def value(self, u: np.ndarray) -> float:
+    def _evaluate(self, u: np.ndarray):
+        """(f, p): the value at u and the parameters it was evaluated at."""
         self.n_evals += 1
         a, b, c, d = np.exp(u)
-        x = self.x
-        with np.errstate(all="ignore"):
-            cs = c * x ** d
-            lg = b * np.log(x) + dist._log_expm1(cs)
-            logz = math.log(a) + lg
-            z = np.exp(logz)
-            if not np.all(np.isfinite(logz)):
-                return _BIG
-            lnP = dist._log1mexp(z, logz)
-            ssum = float(np.sum(lnP))
-            if not math.isfinite(ssum) or ssum >= 0.0:
-                return _BIG
-            th = -self.n / ssum
-            if not (math.isfinite(th) and th > 0.0):
-                return _BIG   # all points pushed deep into the right tail
-            p = EgwgParams(a, b, c, d, th)
-            lp = np.atleast_1d(dist.log_pdf(p, x))
-        total = float(np.sum(lp))
-        return -total if math.isfinite(total) else _BIG
+        try:
+            p = EgwgParams(a, b, c, d, profile_theta(a, b, c, d, self.data))
+        except LeftTailUnderflowError:
+            return _BIG, None
+        ll = loglik(p, self.data)
+        return (-ll if math.isfinite(ll) else _BIG), p
+
+    def value(self, u: np.ndarray) -> float:
+        return self._evaluate(u)[0]
 
     def value_grad(self, u: np.ndarray):
-        f = self.value(u)
-        if f >= _BIG:
+        f, p = self._evaluate(u)
+        if f >= _BIG:   # finite or not: the fits depend on a zero gradient here
             return f, np.zeros(4)
-        a, b, c, d = np.exp(u)
-        th = self.theta(u)
         with np.errstate(all="ignore"):
-            grad = loglik_grad(EgwgParams(a, b, c, d, th), self.data)[:4]
+            grad = loglik_grad(p, self.data)[:4]
         # envelope theorem: dL/dtheta = 0 at the profiled theta, so the
         # profiled gradient is the partial gradient; chain rule to log space
         gu = -grad * np.exp(u)
@@ -312,6 +298,7 @@ def _weibull_shape(x: np.ndarray) -> float:
         return 1.0
 
 
+# Kept apart from fit_competitor("gd"), whose xatol of 1e-12 moves the Aarset fit.
 def _gd_anchor(x: np.ndarray) -> tuple[float, float]:
     """Core-convention Gompertz fit (rate, c) used as a starting point."""
     n = x.size
@@ -385,6 +372,10 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     ub = np.log([b[1] for b in cfg.box])
     bounds = list(zip(lb, ub))
 
+    def lbfgsb(u):
+        return minimize(obj.value_grad, u, jac=True, method="L-BFGS-B", bounds=bounds,
+                        options={"maxiter": cfg.polish_max_iter, "ftol": 1e-14, "gtol": 1e-12})
+
     termini = []
     for anchor in _anchors(x, cfg.n_restarts):
         u0 = np.clip(np.log(anchor), lb, ub)
@@ -393,18 +384,14 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
         # cliff-adjacent stalls L-BFGS line searches suffer from, then a
         # final gradient polish
         stages = []
-        r1 = minimize(obj.value_grad, u0, jac=True, method="L-BFGS-B",
-                      bounds=bounds, options={"maxiter": cfg.polish_max_iter,
-                                              "ftol": 1e-14, "gtol": 1e-12})
+        r1 = lbfgsb(u0)
         stages.append((r1.fun, r1.x))
         r2 = minimize(obj.value, r1.x, method="Nelder-Mead", bounds=bounds,
                       options={"maxiter": cfg.simplex_max_iter,
                                "xatol": 1e-9, "fatol": 1e-11})
         stages.append((r2.fun, r2.x))
         if r2.fun < r1.fun - 1e-10:
-            r3 = minimize(obj.value_grad, r2.x, jac=True, method="L-BFGS-B",
-                          bounds=bounds, options={"maxiter": cfg.polish_max_iter,
-                                                  "ftol": 1e-14, "gtol": 1e-12})
+            r3 = lbfgsb(r2.x)
             stages.append((r3.fun, r3.x))
         fu, u = min(stages, key=lambda t: t[0])
         if fu > f0:            # never accept a terminus worse than its start

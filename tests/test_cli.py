@@ -4,10 +4,12 @@ import json
 import math
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from egwgd import EgwgParams, cdf, hazard, mttf, pdf, sample
 from egwgd.cli import main
+from egwgd.exceptions import StencilError
 from conftest import PRINTED_MLE
 
 PRINTED_FLAGS = ["--a", "0.000085", "--b", "0.128", "--c", "0.401",
@@ -52,6 +54,27 @@ class TestFitCommand:
     def test_unknown_model(self, capsys):
         code, _, _ = run(capsys, "fit", "--data", "aarset", "--model", "cauchy")
         assert code == 1
+
+    def test_competitor_curvature_failure_is_best_effort(self, capsys, monkeypatch):
+        import egwgd.cli as cli_mod
+
+        def fail(spec, values):
+            raise StencilError("stencil point is not finite", 0)
+
+        monkeypatch.setattr(cli_mod.submodels, "competitor_covariance", fail)
+        code, out, _ = run(capsys, "fit", "--data", "aarset", "--model", "ed")
+        assert code == 0
+        assert "covariance" not in json.loads(out)
+
+    def test_competitor_curvature_bug_propagates(self, monkeypatch):
+        import egwgd.cli as cli_mod
+
+        def broken(spec, values):
+            raise TypeError("a programming error")
+
+        monkeypatch.setattr(cli_mod.submodels, "competitor_covariance", broken)
+        with pytest.raises(TypeError):
+            main(["fit", "--data", "aarset", "--model", "ed"])
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "fit.json"

@@ -9,7 +9,9 @@ from egwgd import (
     cdf,
     hazard,
     integrate,
+    log_cdf,
     log_pdf,
+    log_survival,
     median,
     mode,
     pdf,
@@ -18,12 +20,27 @@ from egwgd import (
     sample,
     survival,
 )
+from egwgd.distribution import _batch_quantile
 from egwgd.exceptions import DomainError, InvalidParametersError, TailOverflowError
 from egwgd.gof import ks_statistic
 from conftest import random_params
 
 GOMPERTZ = EgwgParams(1.0, 0.0, 1.0, 1.0, 1.0)
 LN2 = math.log(2.0)
+
+# the benchmark's bathtub, increasing and decreasing hazards and its
+# recovery truth
+BENCH_PARAMS = [
+    EgwgParams(0.000085, 0.128, 0.401, 0.69901, 0.246),
+    EgwgParams(0.5, 0.2, 0.3, 0.5, 1.5),
+    EgwgParams(3.0, 0.1, 0.5, 0.3, 0.6),
+    EgwgParams(0.001, 0.5, 0.3, 0.8, 0.5),
+]
+
+
+def assert_matches_scalar_calls(fn, p, xs):
+    got = np.atleast_1d(fn(p, np.asarray(xs)))
+    assert all(g == fn(p, float(x)) for g, x in zip(got, xs))
 
 
 class TestParams:
@@ -56,7 +73,14 @@ class TestCdf:
     def test_zero_at_origin(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
-            assert cdf(random_params(rng), 0.0) == 0.0
+            p = random_params(rng)
+            assert cdf(p, 0.0) == 0.0
+            xs = [0.0, quantile(p, 0.3), quantile(p, 0.8)]
+            assert log_cdf(p, xs)[0] == -math.inf
+            assert_matches_scalar_calls(log_cdf, p, xs)
+            # a scalar cdf is exponentiated by math.exp and an array by np.exp,
+            # which can differ in the last bit
+            assert list(cdf(p, xs)) == [np.exp(log_cdf(p, x)) for x in xs]
 
     def test_negative_domain(self):
         with pytest.raises(DomainError):
@@ -124,7 +148,12 @@ class TestSurvival:
     def test_one_at_origin(self):
         rng = np.random.default_rng(15)
         for _ in range(5):
-            assert survival(random_params(rng), 0.0) == 1.0
+            p = random_params(rng)
+            assert survival(p, 0.0) == 1.0
+            xs = [0.0, quantile(p, 0.3), quantile(p, 0.8)]
+            assert log_survival(p, xs)[0] == 0.0
+            for fn in (log_survival, survival):
+                assert_matches_scalar_calls(fn, p, xs)
 
     def test_gompertz_closed_form(self):
         assert_allclose(survival(GOMPERTZ, LN2), math.exp(-1.0), rtol=1e-14)
@@ -219,6 +248,16 @@ class TestQuantile:
             p = random_params(rng)
             err = max(abs(cdf(p, quantile(p, float(q))) - q) for q in qs)
             assert err <= 1e-9
+
+    @pytest.mark.parametrize("p", BENCH_PARAMS)
+    def test_batch_solver_matches_scalar(self, p):
+        # u = q^(1/theta) on both sides of the target's branch edges
+        # (u = e^-36 and u = 1/2) and close to 1
+        lnu = [-36.0 * (1.0 + 1e-9), -36.0, -36.0 * (1.0 - 1e-9),
+               -LN2 * (1.0 + 1e-9), -LN2, -LN2 * (1.0 - 1e-9), math.log1p(-1e-9)]
+        q = np.exp(p.theta * np.array(lnu))
+        want = [quantile(p, float(v)) for v in q]
+        assert_allclose(_batch_quantile(p, q), want, rtol=1e-12, atol=0.0)
 
 
 class TestMedian:

@@ -20,7 +20,7 @@ from egwgd import (
     profile_theta,
     sample,
 )
-from egwgd.estimation import PARAM_ORDER, _anchors, _Objective
+from egwgd.estimation import _BIG, PARAM_ORDER, _anchors, _Objective
 from egwgd.exceptions import (
     DegenerateInformationError,
     DomainError,
@@ -159,6 +159,40 @@ class TestProfileTheta:
         best = loglik(EgwgParams(a, b, c, d, th_hat), aarset_data)
         for th in np.linspace(th_hat / 3.0, 3.0 * th_hat, 60):
             assert loglik(EgwgParams(a, b, c, d, float(th)), aarset_data) <= best + 1e-9
+
+
+class TestObjective:
+    def test_is_exactly_the_profiled_likelihood(self, aarset_data):
+        # the fit's cost follows last-bit changes in the objective, so the
+        # identity with the public functions is exact, not approximate
+        obj = _Objective(aarset_data)
+        rng = np.random.default_rng(31)
+        lo = np.log([b[0] for b in FitConfig().box])
+        hi = np.log([b[1] for b in FitConfig().box])
+        tenable = untenable = 0
+        for _ in range(50):
+            u = rng.uniform(lo, hi)
+            f, gu = obj.value_grad(u)
+            assert obj.value(u) == f
+            a, b, c, d = np.exp(u)
+            try:
+                p = EgwgParams(a, b, c, d, profile_theta(a, b, c, d, aarset_data))
+            except LeftTailUnderflowError:
+                p = None
+            ll = -math.inf if p is None else loglik(p, aarset_data)
+            assert f == (-ll if math.isfinite(ll) else _BIG)
+            if f >= _BIG:
+                untenable += 1
+                assert not np.any(gu)
+                continue
+            tenable += 1
+            with np.errstate(all="ignore"):
+                expected = -loglik_grad(p, aarset_data)[:4] * np.exp(u)
+            if np.all(np.isfinite(expected)):
+                np.testing.assert_array_equal(gu, expected)
+            else:
+                assert not np.any(gu)
+        assert tenable >= 30 and untenable >= 5
 
 
 class TestFit:
