@@ -7,6 +7,8 @@ maximum-likelihood estimation with Wald intervals, and goodness-of-fit
 model comparison.  A command-line front end is installed as ``egwgd``.
 """
 
+import logging
+
 from .datasets import AARSET
 from .distribution import (
     EgwgParams,
@@ -64,6 +66,9 @@ from .submodels import (
 )
 
 __version__ = "0.1.0"
+
+# library logging: silent unless the application configures a handler
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "AARSET",

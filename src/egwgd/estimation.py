@@ -17,6 +17,7 @@ gradient vanishes.  See FitConfig.box.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 
@@ -48,6 +49,8 @@ __all__ = [
 ]
 
 PARAM_ORDER = ("a", "b", "c", "d", "theta")
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,7 @@ class FitConfig:
 
     n_restarts: int = 8
     stationarity_scale: float = 1e-4     # max |grad L| <= scale * max(1, |L|)
-    simplex_max_iter: int = 800
+    simplex_max_iter: int = 800          # caps the Nelder-Mead rescue, run only if needed
     polish_max_iter: int = 500
     ci_level: float = 0.95
     box: tuple = ((1e-12, 1e4), (1e-3, 4.0), (1e-6, 50.0), (0.05, 4.0))
@@ -170,7 +173,9 @@ def _kernel(a, b, c, d, x: np.ndarray):
     """(log x, s = x^d, c s, log g, log z, z) with g = x^b (e^{cs} - 1).
 
     log z = log a + (b log x + log(e^{cs} - 1)); the fits follow this
-    summation order to the last bit.
+    summation order to the last bit.  Kept apart from distribution._inner,
+    whose (log a + b log x) + log(e^{cs} - 1) moves the Aarset fit from
+    3570 to 4757 objective evaluations.
     """
     lnx = np.log(x)
     s = x ** d
@@ -298,7 +303,8 @@ def _weibull_shape(x: np.ndarray) -> float:
         return 1.0
 
 
-# Kept apart from fit_competitor("gd"), whose xatol of 1e-12 moves the Aarset fit.
+# Kept apart from fit_competitor("gd"), whose xatol of 1e-12 moves the Aarset
+# fit from 3570 to 5282 objective evaluations.
 def _gd_anchor(x: np.ndarray) -> tuple[float, float]:
     """Core-convention Gompertz fit (rate, c) used as a starting point."""
     n = x.size
@@ -355,13 +361,20 @@ def _anchors(x: np.ndarray, n_restarts: int) -> list:
 def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     """Multistart maximum-likelihood fit with theta profiled out.
 
-    Each restart runs gradient-based L-BFGS-B, a bounded simplex rescue for
-    the cliff-adjacent stalls the line search can suffer, then a final
-    gradient polish.  A terminus counts as converged when its gradient,
-    projected onto the feasible box, satisfies the stationarity check; the
-    best converged terminus wins (ties resolve to the earliest restart).
-    If no restart converges the best point is returned with
-    converged = False, never a silent success.
+    Each restart runs gradient-based L-BFGS-B.  A terminus counts as
+    converged when its gradient, projected onto the feasible box,
+    satisfies the stationarity check.  Only when the L-BFGS-B endpoint
+    fails that check, or is worse than the restart's start, does a bounded
+    Nelder-Mead rescue run (for the cliff-adjacent stalls the line search
+    can suffer), followed by a gradient polish when the simplex improved
+    the point.  The best converged terminus wins (ties resolve to the
+    earliest restart).  If no restart converges the best point is returned
+    with converged = False, never a silent success.
+
+    One DEBUG record per restart goes to the ``egwgd.estimation`` logger:
+    the L-BFGS-B evaluation count and message, the endpoint's largest
+    projected gradient, and whether the rescue ran, with its iteration
+    count and message (which names a stop at ``simplex_max_iter``).
     """
     cfg = config or FitConfig()
     if data.n < 5:
@@ -376,34 +389,45 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
         return minimize(obj.value_grad, u, jac=True, method="L-BFGS-B", bounds=bounds,
                         options={"maxiter": cfg.polish_max_iter, "ftol": 1e-14, "gtol": 1e-12})
 
-    termini = []
-    for anchor in _anchors(x, cfg.n_restarts):
-        u0 = np.clip(np.log(anchor), lb, ub)
-        f0 = obj.value(u0)
-        # gradient descent first (fast), a bounded simplex to escape the
-        # cliff-adjacent stalls L-BFGS line searches suffer from, then a
-        # final gradient polish
-        stages = []
-        r1 = lbfgsb(u0)
-        stages.append((r1.fun, r1.x))
-        r2 = minimize(obj.value, r1.x, method="Nelder-Mead", bounds=bounds,
-                      options={"maxiter": cfg.simplex_max_iter,
-                               "xatol": 1e-9, "fatol": 1e-11})
-        stages.append((r2.fun, r2.x))
-        if r2.fun < r1.fun - 1e-10:
-            r3 = lbfgsb(r2.x)
-            stages.append((r3.fun, r3.x))
-        fu, u = min(stages, key=lambda t: t[0])
-        if fu > f0:            # never accept a terminus worse than its start
-            u, fu = u0, f0
-        _, gu = obj.value_grad(u)
+    def stationarity(u, fu, gu):
+        """(max |projected gradient|, whether it passes the stationarity test)."""
         proj = gu.copy()
         at_lb = np.isclose(u, lb, rtol=0.0, atol=1e-12)
         at_ub = np.isclose(u, ub, rtol=0.0, atol=1e-12)
         proj[at_lb & (proj > 0.0)] = 0.0   # minimising: outward push is inert
         proj[at_ub & (proj < 0.0)] = 0.0
-        stat = (fu < _BIG and
-                np.max(np.abs(proj)) <= cfg.stationarity_scale * max(1.0, abs(fu)))
+        pg = float(np.max(np.abs(proj)))
+        return pg, bool(fu < _BIG and pg <= cfg.stationarity_scale * max(1.0, abs(fu)))
+
+    termini = []
+    for k, anchor in enumerate(_anchors(x, cfg.n_restarts), start=1):
+        u0 = np.clip(np.log(anchor), lb, ub)
+        f0 = obj.value(u0)
+        # L-BFGS-B first; only an endpoint that fails the stationarity test,
+        # or is worse than its start, gets the bounded simplex rescue (for
+        # the cliff-adjacent stalls L-BFGS line searches suffer from) and
+        # then a final gradient polish
+        r1 = lbfgsb(u0)
+        pg1, stat1 = stationarity(r1.x, r1.fun, obj.value_grad(r1.x)[1])
+        if stat1 and r1.fun <= f0:
+            fu, u, stat = r1.fun, r1.x, True
+            rescue = "simplex skipped"
+        else:
+            stages = [(r1.fun, r1.x)]
+            r2 = minimize(obj.value, r1.x, method="Nelder-Mead", bounds=bounds,
+                          options={"maxiter": cfg.simplex_max_iter,
+                                   "xatol": 1e-9, "fatol": 1e-11})
+            stages.append((r2.fun, r2.x))
+            if r2.fun < r1.fun - 1e-10:
+                r3 = lbfgsb(r2.x)
+                stages.append((r3.fun, r3.x))
+            fu, u = min(stages, key=lambda t: t[0])
+            if fu > f0:            # never accept a terminus worse than its start
+                u, fu = u0, f0
+            stat = stat1 if u is r1.x else stationarity(u, fu, obj.value_grad(u)[1])[1]
+            rescue = f"simplex ran: nit={r2.nit} ({r2.message})"
+        _log.debug("restart %d: L-BFGS-B nfev=%d (%s), max projected gradient %.3g; %s",
+                   k, r1.nfev, r1.message, pg1, rescue)
         termini.append((fu, u, stat))
 
     converged_termini = [t for t in termini if t[2]]

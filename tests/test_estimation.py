@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from egwgd import (
     profile_theta,
     sample,
 )
+from egwgd import estimation
 from egwgd.estimation import _BIG, PARAM_ORDER, _anchors, _Objective
 from egwgd.exceptions import (
     DegenerateInformationError,
@@ -36,6 +38,39 @@ from conftest import PRINTED_MLE, RECOVERY_TRUTH
 # the -L column; the criteria bind to it.
 NEGLOGLIK_AT_PRINTED = 224.54259679698711
 PROFILE_THETA_AT_PRINTED = 0.24622935682640335
+
+# -L of the default eight-restart Aarset fit (constrained optimum, see README)
+AARSET_NEGLOGLIK = 210.91838357686976
+
+
+def _spy_stages(monkeypatch):
+    """Record every optimiser stage fit runs, in call order, as (method, result)."""
+    calls = []
+    real = estimation.minimize
+
+    def spy(fun, x0, *args, method=None, **kwargs):
+        r = real(fun, x0, *args, method=method, **kwargs)
+        calls.append((method, r))
+        return r
+
+    monkeypatch.setattr(estimation, "minimize", spy)
+    return calls
+
+
+def _by_restart(calls):
+    """[(first L-BFGS-B result, Nelder-Mead result or None)] per restart.
+
+    A restart opens with L-BFGS-B; the only other L-BFGS-B call is the
+    polish, which directly follows a Nelder-Mead stage.
+    """
+    out, prev = [], None
+    for method, r in calls:
+        if method == "Nelder-Mead":
+            out[-1][1] = r
+        elif prev != "Nelder-Mead":
+            out.append([r, None])
+        prev = method
+    return [tuple(t) for t in out]
 
 
 class TestDataset:
@@ -203,11 +238,67 @@ class TestFit:
 
     def test_terminus_never_below_anchors(self, aarset_data, aarset_egwgd_fit):
         obj = _Objective(aarset_data)
+        box = FitConfig().box
+        lo = np.log([b[0] for b in box])
+        hi = np.log([b[1] for b in box])
         for anchor in _anchors(aarset_data.values, 8):
             u0 = np.log(np.asarray(anchor))
-            start_val = -obj.value(np.clip(u0, np.log([1e-12, 1e-3, 1e-6, 0.05]),
-                                           np.log([1e4, 4.0, 50.0, 4.0])))
+            start_val = -obj.value(np.clip(u0, lo, hi))
             assert aarset_egwgd_fit.loglik >= start_val - 1e-9
+
+    def test_aarset_loglik_is_kept(self, aarset_egwgd_fit):
+        assert abs(aarset_egwgd_fit.loglik + AARSET_NEGLOGLIK) <= 1e-9
+
+    def test_simplex_runs_only_where_lbfgsb_stops_short(self, aarset_data, monkeypatch):
+        cfg = FitConfig()
+        calls = _spy_stages(monkeypatch)
+        fit(aarset_data, cfg)
+        restarts = _by_restart(calls)
+        assert len(restarts) == cfg.n_restarts
+        obj = _Objective(aarset_data)
+        lo = np.log([b[0] for b in cfg.box])
+        hi = np.log([b[1] for b in cfg.box])
+        for anchor, (r1, r2) in zip(_anchors(aarset_data.values, cfg.n_restarts), restarts):
+            f0 = obj.value(np.clip(np.log(anchor), lo, hi))
+            _, gu = obj.value_grad(r1.x)
+            inert = ((np.isclose(r1.x, lo, rtol=0.0, atol=1e-12) & (gu > 0.0))
+                     | (np.isclose(r1.x, hi, rtol=0.0, atol=1e-12) & (gu < 0.0)))
+            pg = np.max(np.abs(gu[~inert]), initial=0.0)
+            stationary = r1.fun < _BIG and pg <= cfg.stationarity_scale * max(1.0, abs(r1.fun))
+            assert (r2 is not None) == (not stationary or r1.fun > f0)
+        # some restarts need the rescue and some do not
+        assert 0 < sum(r2 is not None for _, r2 in restarts) < cfg.n_restarts
+
+    def test_short_lbfgsb_runs_the_simplex_everywhere(self, aarset_data, monkeypatch):
+        calls = _spy_stages(monkeypatch)
+        res = fit(aarset_data, FitConfig(polish_max_iter=1))
+        restarts = _by_restart(calls)
+        assert len(restarts) == 8
+        assert all(r2 is not None for _, r2 in restarts)
+        assert res.converged
+        assert abs(res.loglik + 210.9183835770943) <= 1e-9
+
+    def test_debug_record_per_restart(self, aarset_data, monkeypatch, caplog):
+        cfg = FitConfig()
+        calls = _spy_stages(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="egwgd"):
+            fit(aarset_data, cfg)
+        records = [r for r in caplog.records if r.name == "egwgd.estimation"]
+        restarts = _by_restart(calls)
+        assert len(records) == len(restarts) == cfg.n_restarts
+        for k, (rec, (r1, r2)) in enumerate(zip(records, restarts), start=1):
+            msg = rec.getMessage()
+            assert rec.levelno == logging.DEBUG
+            assert msg.startswith(f"restart {k}: L-BFGS-B nfev={r1.nfev} ({r1.message}), "
+                                  "max projected gradient ")
+            if r2 is None:
+                assert msg.endswith("; simplex skipped")
+            else:   # includes a stop at simplex_max_iter
+                assert msg.endswith(f"; simplex ran: nit={r2.nit} ({r2.message})")
+
+    def test_library_logger_is_silent_by_default(self):
+        handlers = logging.getLogger("egwgd").handlers
+        assert any(isinstance(h, logging.NullHandler) for h in handlers)
 
     def test_needs_five_points(self):
         with pytest.raises(DomainError):
