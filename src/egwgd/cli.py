@@ -202,18 +202,17 @@ def _cmd_reliability(args) -> int:
     if has_repair and any(v is None for v in repair_flags):
         raise DomainError("give all five repair parameters or none")
 
-    out = {"mttf": reliability.mttf(failure)}
-    repair = None
     if has_repair:
         repair = EgwgParams(*repair_flags)
         sys_ = reliability.RepairableSystem(failure=failure, repair=repair)
-        out["mttr"] = reliability.mttf(repair)
-        out["mtbf"] = reliability.mtbf(sys_)
-        out["availability"] = reliability.availability(sys_)
+        out = {"mttf": sys_.means[0], "mttr": sys_.means[1],
+               "mtbf": reliability.mtbf(sys_), "availability": reliability.availability(sys_)}
+    else:
+        out = {"mttf": reliability.mttf(failure)}
     ts = _float_list(args.t) if args.t else []
     if ts:
         out["t"] = ts
-        if repair is not None:
+        if has_repair:
             out["maintainability"] = [float(reliability.maintainability(repair, t)) for t in ts]
         out["mrl"] = [reliability.mean_residual_life(failure, t) for t in ts]
         # mean past life is undefined at t = 0; emit null there

@@ -83,15 +83,15 @@ class EgwgParams:
 # log-space kernels
 # ---------------------------------------------------------------------------
 
-def _log_expm1(y):
-    """log(e^y - 1) for y > 0, elementwise, without overflow or underflow."""
+def _log_expm1(y, logy=None):
+    """log(e^y - 1) for y > 0, elementwise, without over- or underflow (given log y, at y = 0)."""
     y = np.asarray(y, dtype=float)
     out = np.empty_like(y)
     tiny = y < 1e-8
     big = y > 33.0
     mid = ~(tiny | big)
     with np.errstate(divide="ignore"):
-        out[tiny] = np.log(y[tiny]) + 0.5 * y[tiny]
+        out[tiny] = (np.log(y[tiny]) if logy is None else logy[tiny]) + 0.5 * y[tiny]
     out[mid] = np.log(np.expm1(y[mid]))
     out[big] = y[big]          # correction log(1 - e^{-y}) < 5e-15 here
     return out
@@ -99,8 +99,6 @@ def _log_expm1(y):
 
 def _log1mexp(z, logz):
     """log(1 - e^{-z}) for z > 0, using log z when z itself underflows."""
-    z = np.asarray(z, dtype=float)
-    logz = np.asarray(logz, dtype=float)
     out = np.empty_like(z)
     deep = logz < -36.7       # z below 1.1e-16: log(1 - e^{-z}) = log z to 1 ulp
     small = (~deep) & (z <= _LN2)
@@ -150,9 +148,8 @@ def _log_F(p: EgwgParams, x) -> tuple[np.ndarray, bool]:
     xs, scalar = _as_x_array(x, allow_zero=True)
     out = np.full(xs.shape, -np.inf)
     pos = xs > 0.0
-    if np.any(pos):
-        z, logz, _, _ = _inner(p, xs[pos])
-        out[pos] = p.theta * _log1mexp(z, logz)
+    z, logz, _, _ = _inner(p, xs[pos])
+    out[pos] = p.theta * _log1mexp(z, logz)
     return out, scalar
 
 
@@ -180,49 +177,39 @@ def survival(p: EgwgParams, x):
     return _ret(-np.expm1(lf), scalar)
 
 
-def _theta_clamp_x(p: EgwgParams) -> float:
-    """Smallest x the density is evaluated at when theta < 1.
-
-    The density is unbounded as x -> 0+ for theta < 1; evaluations below the
-    point where F = 1e-300 are clamped there instead of overflowing.  When
-    that point is itself below the floating-point range the clamp is inert.
-    """
-    try:
-        return quantile(p, 1e-300)
-    except BracketError:
-        return 0.0
-
-
-def log_pdf(p: EgwgParams, x):
-    """log f(x) for x > 0.
+def _log_density(p: EgwgParams, x) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(log f(x), unclamped log F(x), scalar flag) for x > 0, from one kernel pass.
 
     Uses the rewrite a*b*x^{b-1}*(1 + (c d / b) x^d - e^{-c x^d})
     = a x^{b-1} * [b (1 - e^{-c x^d}) + c d x^d], which evaluates the b -> 0
-    limit directly instead of producing 0 * inf.
+    limit directly instead of producing 0 * inf.  For theta < 1, where f
+    blows up as x -> 0+, log f is clamped at the point where F = 1e-300.
     """
     xs, scalar = _as_x_array(x, allow_zero=False)
-    if p.theta < 1.0 and xs.size:
-        # the density blows up toward 0 when theta < 1; clamp only points in
-        # the ultra-deep left tail (F below 1e-300), where the blow-up could
-        # otherwise overflow.  The cheap log F screen avoids the clamp-point
-        # root solve on the hot path.
-        xmin = float(xs.min())
-        zm, logzm, _, _ = _inner(p, xmin)
-        if float(p.theta * _log1mexp(zm, logzm)) < _LOG_TINY:
-            xc = _theta_clamp_x(p)
-            if xc > 0.0:
-                xs = np.maximum(xs, xc)
     z, logz, s, cs = _inner(p, xs)
+    l1mez = _log1mexp(z, logz)
+    log_F = p.theta * l1mez
+    if p.theta < 1.0 and np.any(log_F < _LOG_TINY):
+        try:
+            xs = np.maximum(xs, quantile(p, 1e-300))
+        except BracketError:   # no clamp below the float range
+            pass
+        else:
+            z, logz, s, cs = _inner(p, xs)
+            l1mez = _log1mexp(z, logz)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         lnx = np.log(xs)
         w = p.b * (-np.expm1(-cs)) + p.c * p.d * s
         out = (math.log(p.a) + math.log(p.theta) + (p.b - 1.0) * lnx
-               + cs - z + np.log(w) + (p.theta - 1.0) * _log1mexp(z, logz))
-    # deep right tail: cs - z -> -inf dominates; make sure no NaN from inf - inf
-    bad = np.isnan(out)
-    if np.any(bad):
-        out[bad] = -np.inf
-    return _ret(np.minimum(out, _LOG_MAX), scalar)
+               + cs - z + np.log(w) + (p.theta - 1.0) * l1mez)
+    out[np.isnan(out)] = -np.inf   # deep right tail: cs - z -> -inf, not inf - inf
+    return np.minimum(out, _LOG_MAX), log_F, scalar
+
+
+def log_pdf(p: EgwgParams, x):
+    """log f(x) for x > 0, finite in the b -> 0 limit (see _log_density)."""
+    lp, _, scalar = _log_density(p, x)
+    return _ret(lp, scalar)
 
 
 def pdf(p: EgwgParams, x):
@@ -243,24 +230,19 @@ def _largest_representable_x(p: EgwgParams) -> float:
 
 def hazard(p: EgwgParams, x):
     """h(x) = f(x) / R(x), computed as exp(log f - log R) for tail stability."""
-    xs, scalar = _as_x_array(x, allow_zero=False)
-    lr = log_survival(p, xs)
-    lr = np.atleast_1d(lr)
-    if np.any(np.isinf(lr) & (lr < 0)):
+    lp, lf, scalar = _log_density(p, x)
+    if np.any(lf == 0.0):   # R = 1 - e^{log F} = 0
         raise TailOverflowError(
             "survival underflowed to 0; largest representable point is about "
             f"x = {_largest_representable_x(p):.6g}")
-    lp = np.atleast_1d(log_pdf(p, xs))
-    return _ret(np.exp(lp - lr), scalar)
+    return _ret(np.exp(lp - np.log(-np.expm1(lf))), scalar)
 
 
 def reversed_hazard(p: EgwgParams, x):
     """r(x) = f(x) / F(x) for x > 0 with F(x) > 0."""
-    xs, scalar = _as_x_array(x, allow_zero=False)
-    lf = np.atleast_1d(log_cdf(p, xs))
+    lp, lf, scalar = _log_density(p, x)
     if np.any(lf < _LOG_TINY):
         raise LeftTailUnderflowError("CDF underflowed in the extreme left tail")
-    lp = np.atleast_1d(log_pdf(p, xs))
     return _ret(np.exp(lp - lf), scalar)
 
 
@@ -282,23 +264,64 @@ def _log_target(p: EgwgParams, q: np.ndarray) -> np.ndarray:
     return np.where(lnu < -36.0, lnu, np.where(lnu < -_LN2, small, near1)) - math.log(p.a)
 
 
-def quantile(p: EgwgParams, q) -> float:
-    """Inverse CDF.  Solves x^b (e^{c x^d} - 1) = t(q) in log space.
+_LOG_X_GUARD = 996 * _LN2   # roots lie in 2^-996 ... 2^996, find_root_increasing's bracket range
+_NEWTON_MAX_ITER = 64       # the fit's box corners take at most 13 steps
 
-    The left side is strictly increasing with full real log-range, so the
-    root exists and is unique for every q in (0, 1); q = 0 returns 0.
+
+def _quantile_g(p: EgwgParams, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g(v) = b v + log(e^y - 1), y = c e^{d v}, and g'(v) = b + d y e^y / (e^y - 1);
+    both finite where y underflows, g = inf where y overflows."""
+    logy = math.log(p.c) + p.d * v
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.exp(logy)
+        lem = _log_expm1(y, logy)
+        return p.b * v + lem, p.b + p.d * np.exp(logy + y - lem)
+
+
+def _batch_quantile(p: EgwgParams, q) -> np.ndarray:
+    """Inverse CDF at each q in [0, 1): Newton's method on g(v) = log t(q), v = log x.
+
+    g is increasing and convex, and log(e^y - 1) >= log y puts
+    v_R = (log t - log c) / (b + d) on or right of the root (on it while y
+    is small), so Newton descends monotonically from there, with no bracket;
+    each element stops at its first step that does not decrease v.  In the
+    large-y tail, y = |log t| + 1 is a closer start wherever g >= log t there.
+    Raises BracketError if a root lies outside x = 2^-996 ... 2^996.
     """
-    q = float(q)
-    if not (0.0 <= q < 1.0):
-        raise DomainError(f"quantile requires 0 <= q < 1, got {q!r}")
-    if q == 0.0:
-        return 0.0
-    log_t = float(_log_target(p, np.array([q]))[0])
+    q = np.asarray(q, dtype=float)
+    bad = ~((q >= 0.0) & (q < 1.0))
+    if np.any(bad):
+        raise DomainError(f"quantile requires 0 <= q < 1, got {float(q[bad][0])!r}")
+    out = np.zeros(q.shape)
+    pos = q > 0.0
+    log_t = _log_target(p, q[pos])
+    v = np.minimum((log_t - math.log(p.c)) / (p.b + p.d), _LOG_X_GUARD)
+    v_tail = (np.log1p(np.abs(log_t)) - math.log(p.c)) / p.d
+    g0 = _quantile_g(p, np.concatenate(([-_LOG_X_GUARD, _LOG_X_GUARD], v_tail)))[0]
+    if np.any(log_t < g0[0]) or np.any(log_t > g0[1]):
+        raise BracketError(f"a quantile root lies outside x = 2^-996 ... 2^996 for {p}")
+    v = np.where((v_tail < v) & (g0[2:] >= log_t), v_tail, v)
+    del v_tail, g0   # not held through the iteration
+    todo = np.arange(v.size)
+    for _ in range(_NEWTON_MAX_ITER):
+        vt = v[todo]
+        g, dg = _quantile_g(p, vt)
+        with np.errstate(invalid="ignore"):   # where y overflows (g = inf) the step tends to 1/d
+            v_next = vt - np.where(np.isfinite(g), (g - log_t[todo]) / dg, 1.0 / p.d)
+        down = v_next < vt
+        todo = todo[down]
+        v[todo] = v_next[down]
+        if not todo.size:
+            break
+    else:
+        raise RuntimeError(f"quantile Newton solve did not converge in {_NEWTON_MAX_ITER} steps")
+    out[pos] = np.exp(v)
+    return out
 
-    def g(x: float) -> float:
-        return p.b * math.log(x) + float(_log_expm1(p.c * x ** p.d))
 
-    return find_root_increasing(g, log_t)
+def quantile(p: EgwgParams, q) -> float:
+    """Inverse CDF, unique for q in (0, 1), and 0 at q = 0 (see _batch_quantile)."""
+    return float(_batch_quantile(p, np.array([float(q)]))[0])
 
 
 def median(p: EgwgParams) -> float:
@@ -336,8 +359,7 @@ def mode(p: EgwgParams, grid_points: int = 512) -> float:
     x -> 0+ (e.g. theta < 1, or decreasing sub-family densities), the
     boundary mode 0.0 is reported.  Flat ties resolve to the leftmost point.
     """
-    lo = quantile(p, 1e-6)
-    hi = quantile(p, 1.0 - 1e-6)
+    lo, hi = _batch_quantile(p, np.array([1e-6, 1.0 - 1e-6]))
     grid = np.geomspace(lo, hi, grid_points)
     lp = np.atleast_1d(log_pdf(p, grid))
     i = int(np.argmax(lp))
@@ -361,8 +383,8 @@ def sample(p: EgwgParams, n: int, seed: int) -> np.ndarray:
     The generator (numpy's Philox counter-based bit generator seeded through
     SeedSequence(seed)) is fixed as part of the I/O contract: identical seed
     and parameters always reproduce the identical sequence.  The quantile
-    equation is solved for the whole batch by bisection in log x, to machine
-    precision.
+    equation is solved for the whole batch by one Newton solve in log x (see
+    _batch_quantile), so the draws are bit-reproducible too.
     """
     n = int(n)
     if n < 1:
@@ -370,28 +392,3 @@ def sample(p: EgwgParams, n: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(seed))
     u = rng.random(n)
     return _batch_quantile(p, u)
-
-
-def _batch_quantile(p: EgwgParams, q: np.ndarray) -> np.ndarray:
-    out = np.zeros(q.shape)
-    pos = q > 0.0
-    if not np.any(pos):
-        return out
-    qq = q[pos]
-    log_t = _log_target(p, qq)
-
-    def g(v):   # strictly increasing in v = log x
-        return p.b * v + _log_expm1(p.c * np.exp(p.d * v))
-
-    # one bracket spans all targets; endpoints found on the extreme targets
-    v_lo = math.log(quantile(p, float(qq.min())) * 0.5)
-    v_hi = math.log(quantile(p, float(qq.max())) * 2.0)
-    lo = np.full(qq.shape, v_lo)
-    hi = np.full(qq.shape, v_hi)
-    for _ in range(64):       # (hi-lo) * 2^-64 is far below double precision
-        mid = 0.5 * (lo + hi)
-        high = g(mid) >= log_t
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    out[pos] = np.exp(0.5 * (lo + hi))
-    return out

@@ -87,7 +87,7 @@ class FitConfig:
     n_restarts: int = 8
     stationarity_scale: float = 1e-4     # max |grad L| <= scale * max(1, |L|)
     simplex_max_iter: int = 800          # caps the Nelder-Mead rescue, run only if needed
-    polish_max_iter: int = 500
+    polish_max_iter: int = 500           # caps both L-BFGS-B runs: the first stage and the polish
     ci_level: float = 0.95
     box: tuple = ((1e-12, 1e4), (1e-3, 4.0), (1e-6, 50.0), (0.05, 4.0))
 
@@ -361,7 +361,8 @@ def _anchors(x: np.ndarray, n_restarts: int) -> list:
 def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     """Multistart maximum-likelihood fit with theta profiled out.
 
-    Each restart runs gradient-based L-BFGS-B.  A terminus counts as
+    Each restart runs gradient-based L-BFGS-B (capped, like the polish
+    below, at ``polish_max_iter`` iterations).  A terminus counts as
     converged when its gradient, projected onto the feasible box,
     satisfies the stationarity check.  Only when the L-BFGS-B endpoint
     fails that check, or is worse than the restart's start, does a bounded

@@ -64,8 +64,7 @@ class RootConfig:
 
     The default absolute tolerance is far below any representable root
     scale, so termination is governed by the fixed relative tolerance
-    (4 ulp); quantile roots spanning hundreds of decades keep full relative
-    precision.
+    (4 ulp) at any root magnitude.
     """
 
     x_tol: float = 1e-300
@@ -159,8 +158,7 @@ def find_root_increasing(
     """Solve ``g(x) = target`` for strictly increasing ``g`` on (0, inf).
 
     The bracket is grown geometrically from ``x0`` (doubling upward, halving
-    downward), then closed with Brent's method.  EGWGD quantiles span many
-    decades across parameter regimes, so no prior scale is assumed.
+    downward), then closed with Brent's method, so no prior scale is assumed.
 
     Raises:
         BracketError: the target lies below ``g(0+)`` / above ``g``'s range,

@@ -9,7 +9,7 @@ relies on series expansions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
@@ -89,17 +89,24 @@ class RepairableSystem:
 
     failure: EgwgParams
     repair: EgwgParams
+    means: tuple = field(default=(), init=False, repr=False, compare=False)   # (MTTF, MTTR)
 
     def __post_init__(self):
         for name in ("failure", "repair"):
             m = mttf(getattr(self, name))
             if not (math.isfinite(m) and m > 0.0):
                 raise DomainError(f"{name} law has no finite positive mean")
+            object.__setattr__(self, "means", self.means + (m,))
+
+
+def _means(sys: RepairableSystem, cfg: QuadratureConfig | None) -> tuple:
+    return sys.means if cfg is None else (mttf(sys.failure, cfg), mttf(sys.repair, cfg))
 
 
 def mtbf(sys: RepairableSystem, cfg: QuadratureConfig | None = None) -> float:
     """Mean time between failures: MTTF + MTTR."""
-    return mttf(sys.failure, cfg) + mttf(sys.repair, cfg)
+    up, down = _means(sys, cfg)
+    return up + down
 
 
 def availability(sys: RepairableSystem, cfg: QuadratureConfig | None = None) -> float:
@@ -107,8 +114,7 @@ def availability(sys: RepairableSystem, cfg: QuadratureConfig | None = None) -> 
 
     Equals 0.5 exactly when the failure and repair laws coincide.
     """
-    up = mttf(sys.failure, cfg)
-    down = mttf(sys.repair, cfg)
+    up, down = _means(sys, cfg)
     return up / (up + down)
 
 
@@ -164,16 +170,14 @@ def order_stat_pdf(p: EgwgParams, i: int, n: int, x):
     i, n = int(i), int(n)
     if n < 1 or not (1 <= i <= n):
         raise DomainError(f"order statistic index out of range: i={i}, n={n}")
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
+    lp, lf, scalar = dist._log_density(p, x)   # log f and log F from one kernel pass
     pref = gammaln(n + 1) - gammaln(i) - gammaln(n - i + 1)
-    total = pref + np.atleast_1d(dist.log_pdf(p, xs))
+    total = pref + lp
     # add the F / R powers only when their exponents are nonzero, so that an
     # underflowed log (-inf) cannot poison the i = 1 / i = n boundary cases
     if i > 1:
-        total = total + (i - 1) * np.atleast_1d(dist.log_cdf(p, xs))
+        total = total + (i - 1) * lf
     if n > i:
-        total = total + (n - i) * np.atleast_1d(dist.log_survival(p, xs))
-    out = np.exp(total)
-    return float(out[0]) if scalar else out
+        with np.errstate(divide="ignore"):
+            total = total + (n - i) * np.log(-np.expm1(lf))
+    return dist._ret(np.exp(total), scalar)

@@ -1,7 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from egwgd import AARSET, Dataset, EgwgParams, FitConfig, fit, loglik, sample
+
+# Property tests replay the same examples on every run, whatever the machine's
+# speed, and keep no example database.  Hypothesis still caches the numeric
+# constants it reads from the package's source; that goes under pytest's cache.
+settings.register_profile("egwgd", derandomize=True, deadline=None, database=None)
+settings.load_profile("egwgd")
+set_hypothesis_home_dir(Path(__file__).resolve().parents[1] / ".pytest_cache" / "hypothesis")
 
 # The published five-parameter MLE for the Aarset data, used as a fixed
 # evaluation point throughout the tests.

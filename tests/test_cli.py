@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from egwgd import EgwgParams, cdf, hazard, mttf, pdf, sample
+from egwgd import EgwgParams, cdf, hazard, mttf, pdf, reliability, sample
 from egwgd.cli import main
 from egwgd.exceptions import StencilError
 from conftest import PRINTED_MLE
@@ -234,6 +234,23 @@ class TestReliabilityCommand:
                              "--lo", "1.0", "--hi", "2.0", "--count", "2", "--mrl")
         rows = list(csv.DictReader(io.StringIO(out2)))
         assert_allclose(payload["mrl"][0], float(rows[0]["mrl"]), rtol=1e-12)
+
+    def test_each_mean_computed_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(p, cfg=None):
+            calls.append(p)
+            return mttf(p, cfg)
+
+        monkeypatch.setattr(reliability, "mttf", counted)
+        code, out, _ = run(capsys, "reliability", *PRINTED_FLAGS,
+                           *[f.replace("--", "--repair-") if f.startswith("--") else f
+                             for f in GOMPERTZ_FLAGS], "--t", "1.0")
+        assert code == 0
+        assert len(calls) == 2
+        payload = json.loads(out)
+        assert payload["mtbf"] == payload["mttf"] + payload["mttr"]
+        assert payload["availability"] == payload["mttf"] / payload["mtbf"]
 
     def test_partial_repair_flags_rejected(self, capsys):
         code, _, _ = run(capsys, "reliability", *GOMPERTZ_FLAGS, "--repair-a", "1.0")

@@ -1,11 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from egwgd import (
     EgwgParams,
+    FitConfig,
     cdf,
     hazard,
     integrate,
@@ -20,8 +24,15 @@ from egwgd import (
     sample,
     survival,
 )
-from egwgd.distribution import _batch_quantile
-from egwgd.exceptions import DomainError, InvalidParametersError, TailOverflowError
+from egwgd import distribution
+from egwgd.distribution import _batch_quantile, _log_target
+from egwgd.exceptions import (
+    BracketError,
+    DomainError,
+    InvalidParametersError,
+    LeftTailUnderflowError,
+    TailOverflowError,
+)
 from egwgd.gof import ks_statistic
 from conftest import random_params
 
@@ -36,6 +47,44 @@ BENCH_PARAMS = [
     EgwgParams(3.0, 0.1, 0.5, 0.3, 0.6),
     EgwgParams(0.001, 0.5, 0.3, 0.8, 0.5),
 ]
+
+
+def _small_z_clamp_v(p):
+    """log x where F = 1e-300, from log F = theta (log a + log c + (b + d) log x)."""
+    return (math.log(1e-300) / p.theta - math.log(p.a * p.c)) / (p.b + p.d)
+
+
+def clamp_point(p):
+    """x where F = 1e-300, below which log f is clamped when theta < 1, or None
+    where that point or c x^d there is outside the floating-point range (the
+    latter case is test_clamp_root_where_the_kernel_underflows)."""
+    v = _small_z_clamp_v(p)
+    if p.theta < 1.0 and v > -600.0 and math.log(p.c) + p.d * v > -600.0:
+        return quantile(p, 1e-300)
+    return None
+
+
+def params_and_points():
+    """(p, x): the benchmark laws and random ones, each at 40 quantile points
+    plus, for theta < 1 where it exists, points around the clamp point."""
+    rng = np.random.default_rng(31)
+    for p in BENCH_PARAMS + [random_params(rng) for _ in range(20)]:
+        xs = [quantile(p, float(q)) for q in np.geomspace(1e-6, 0.999, 40)]
+        xc = clamp_point(p)
+        if xc is not None:
+            xs += [xc * 1e-9, xc * 0.5, xc, xc * 2.0]
+        yield p, np.array(xs)
+
+
+def clamp_laws():
+    """(p, clamp point) for theta < 1 laws where the clamp point exists."""
+    rng = np.random.default_rng(32)
+    laws = [EgwgParams(1.0, 2.0, 1.0, 2.0, 0.5), EgwgParams(0.5, 3.0, 0.2, 1.5, 0.9)]
+    laws += [random_params(rng) for _ in range(200)]
+    for p in laws:
+        xc = clamp_point(p)
+        if xc is not None:
+            yield p, xc
 
 
 def assert_matches_scalar_calls(fn, p, xs):
@@ -104,6 +153,17 @@ class TestCdf:
 
 
 class TestPdf:
+    def test_theta_below_one_clamps_left_of_the_clamp_point(self):
+        n = 0
+        for p, xc in clamp_laws():
+            at = log_pdf(p, xc)
+            got = log_pdf(p, np.array([xc * 1e-12, xc * 0.5, xc, xc * 2.0]))
+            assert list(got[:3]) == [at] * 3
+            assert got[3] == log_pdf(p, xc * 2.0) != at   # not clamped right of it
+            assert log_pdf(p, xc * 1e-12) == log_pdf(p, xc * 0.5) == at
+            n += 1
+        assert n >= 10
+
     def test_gompertz_closed_form(self):
         expected = math.e * math.exp(-(math.e - 1.0))
         assert_allclose(pdf(GOMPERTZ, 1.0), expected, rtol=1e-13)
@@ -196,6 +256,12 @@ class TestHazard:
         signs = np.sign(d)
         assert np.sum(np.diff(signs) != 0) == 1   # decreasing then increasing
 
+    def test_is_exp_of_log_pdf_minus_log_survival(self):
+        for p, xs in params_and_points():
+            want = np.exp(log_pdf(p, xs) - log_survival(p, xs))
+            assert np.array_equal(hazard(p, xs), want)
+            assert [hazard(p, float(x)) for x in xs] == list(want)
+
     def test_deep_tail_raises_named_limit(self, printed_mle):
         with pytest.raises(TailOverflowError) as err:
             hazard(printed_mle, 1e6)
@@ -214,6 +280,22 @@ class TestReversedHazard:
         # f(ln 2) / F(ln 2) = (2/e) / (1 - 1/e)
         expected = (2.0 / math.e) / (1.0 - math.exp(-1.0))
         assert_allclose(reversed_hazard(GOMPERTZ, LN2), expected, rtol=1e-12)
+
+    def test_is_exp_of_log_pdf_minus_log_cdf(self):
+        for p, xs in params_and_points():
+            xs = xs[np.asarray(log_cdf(p, xs)) >= math.log(1e-300)]
+            want = np.exp(log_pdf(p, xs) - log_cdf(p, xs))
+            assert np.array_equal(reversed_hazard(p, xs), want)
+            assert [reversed_hazard(p, float(x)) for x in xs] == list(want)
+
+    def test_raises_where_cdf_below_1e300(self):
+        n = 0
+        for p, xc in clamp_laws():
+            for x in (xc * 0.5, [xc * 0.5, xc * 2.0, quantile(p, 0.5)]):
+                with pytest.raises(LeftTailUnderflowError):
+                    reversed_hazard(p, x)
+            n += 1
+        assert n >= 10
 
     def test_consistency_with_hazard(self):
         rng = np.random.default_rng(19)
@@ -249,6 +331,28 @@ class TestQuantile:
             err = max(abs(cdf(p, quantile(p, float(q))) - q) for q in qs)
             assert err <= 1e-9
 
+    def test_clamp_root_where_the_kernel_underflows(self):
+        # c x^d underflows at the root of F = 1e-300, which is then the small-z one
+        p = EgwgParams(3.8493535490808457e-4, 1.627668684951657, 0.2417870420636666,
+                       2.370463612209023, 0.4942615254589158)
+        v = _small_z_clamp_v(p)
+        assert math.log(p.c) + p.d * v < -745.0
+        assert_allclose(math.log(quantile(p, 1e-300)), v, rtol=1e-14)
+
+    def test_bracket_error_just_outside_the_guard(self):
+        # x = 2^-996 ... 2^996 is the root range; below it F(x) = x here
+        p = EgwgParams(1.0, 0.0, 1.0, 1.0, 1.0)
+        assert_allclose(quantile(p, 2.0 ** -995), 2.0 ** -995, rtol=1e-12)
+        with pytest.raises(BracketError):
+            quantile(p, 2.0 ** -997)
+        # with d = 1e-3, g(log x) = log(e^{x^d} - 1) stays below 1.9 up to x = 2^996
+        p = EgwgParams(1.0, 0.0, 1.0, 1e-3, 1.0)
+        assert quantile(p, 0.5) < 2.0 ** 996
+        with pytest.raises(BracketError):
+            quantile(p, 1.0 - 1e-12)
+        with pytest.raises(BracketError):
+            _batch_quantile(p, np.array([0.5, 1.0 - 1e-12]))
+
     @pytest.mark.parametrize("p", BENCH_PARAMS)
     def test_batch_solver_matches_scalar(self, p):
         # u = q^(1/theta) on both sides of the target's branch edges
@@ -258,6 +362,97 @@ class TestQuantile:
         q = np.exp(p.theta * np.array(lnu))
         want = [quantile(p, float(v)) for v in q]
         assert_allclose(_batch_quantile(p, q), want, rtol=1e-12, atol=0.0)
+
+
+BOX = FitConfig().box
+_GUARD_V = 996 * math.log(2.0)   # quantile roots must lie in x = 2^-996 ... 2^996
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# the fit's search box with theta in [0.05, 20], and the b = 0 sub-family
+BOX_LAWS = st.builds(
+    EgwgParams,
+    a=_log_uniform(*BOX[0]),
+    b=st.one_of(st.just(0.0), _log_uniform(*BOX[1])),
+    c=_log_uniform(*BOX[2]),
+    d=_log_uniform(*BOX[3]),
+    theta=_log_uniform(0.05, 20.0),
+)
+PROBABILITIES = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from([5e-324, 1e-300, 1e-12, 1.0 - 1e-12, 1.0 - 2.0 ** -53]))
+
+
+def _g(p, v):
+    """b v + log(e^y - 1) with y = c e^{d v}: the quantile equation in v = log x."""
+    logy = math.log(p.c) + p.d * v
+    if logy < -20.0:
+        return p.b * v + logy + 0.5 * math.exp(logy)
+    if logy > 6.0:   # e^-y below 1e-175
+        return p.b * v + (math.exp(logy) if logy < 709.0 else math.inf)
+    return p.b * v + math.log(math.expm1(math.exp(logy)))
+
+
+class TestQuantileProperties:
+    @given(BOX_LAWS, PROBABILITIES)
+    @example(EgwgParams(1e-12, 0.0, 1e-6, 0.05, 0.05), 1e-300)   # root far below 2^-996
+    @example(EgwgParams(1e-12, 4.0, 50.0, 4.0, 20.0), 1.0 - 2.0 ** -53)   # the largest q
+    def test_finite_or_bracket_error_outside_the_guard(self, p, q):
+        if q == 0.0:
+            assert quantile(p, q) == 0.0
+            return
+        log_t = float(_log_target(p, np.array([q]))[0])
+        slack = 1e-9 * max(1.0, abs(log_t))
+        try:
+            x = quantile(p, q)
+        except BracketError:
+            assert _g(p, -_GUARD_V) > log_t - slack or _g(p, _GUARD_V) < log_t + slack
+        else:
+            assert math.isfinite(x) and x > 0.0
+            assert _g(p, -_GUARD_V) <= log_t + slack and _g(p, _GUARD_V) >= log_t - slack
+
+    @given(BOX_LAWS, st.floats(1e-12, 1.0 - 1e-12))
+    def test_round_trip(self, p, q):
+        try:
+            x = quantile(p, q)
+        except BracketError:
+            return
+        assert abs(cdf(p, x) - q) <= 1e-9
+
+    @given(BOX_LAWS, PROBABILITIES)
+    def test_scalar_is_the_batch_element(self, p, q):
+        try:
+            x = quantile(p, q)
+        except BracketError:
+            with pytest.raises(BracketError):
+                _batch_quantile(p, np.full(9, q))
+            return
+        assert x == _batch_quantile(p, np.array([q]))[0]
+        assert np.array_equal(_batch_quantile(p, np.full(9, q)), np.full(9, x))
+
+    @given(BOX_LAWS, st.integers(0, 2 ** 32 - 1))
+    def test_sample_bits_repeat(self, p, seed):
+        try:
+            first = sample(p, 64, seed)
+        except BracketError:
+            with pytest.raises(BracketError):
+                sample(p, 64, seed)
+            return
+        assert sample(p, 64, seed).tobytes() == first.tobytes()
+
+    @given(BOX_LAWS, st.lists(PROBABILITIES, min_size=1, max_size=8))
+    def test_newton_stays_far_below_its_cap(self, p, qs):
+        # one evaluation places the start, then one per Newton step
+        with mock.patch.object(distribution, "_quantile_g",
+                               wraps=distribution._quantile_g) as g:
+            try:
+                _batch_quantile(p, np.array(qs))
+            except BracketError:
+                return
+        assert g.call_count - 1 <= distribution._NEWTON_MAX_ITER // 2
 
 
 class TestMedian:
