@@ -3,7 +3,8 @@
 Subcommands: fit, compare, curves, sample, reliability, eval.  Machine
 outputs (JSON / CSV / sample lines) serialize numbers at full precision;
 exit codes are 0 on success, 1 on usage or input errors, and 2 when a fit
-returned a best-effort, non-converged result.
+returned a best-effort, non-converged result.  Each command imports the
+modules it runs inside its handler, so ``eval`` and ``sample`` load no scipy.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distribution as dist
-from . import estimation, gof, reliability, submodels
 from .datasets import load_values
 from .distribution import EgwgParams
 from .exceptions import DomainError, EgwgError
-from .gof import FittedModel
 
 __all__ = ["main", "CurveGrid", "build_curve_grid"]
 
@@ -79,12 +78,12 @@ def build_curve_grid(p: EgwgParams, lo: float, hi: float, count: int,
     cdfv = np.atleast_1d(dist.cdf(p, xs))
     surv = np.atleast_1d(dist.survival(p, xs))
     haz = np.atleast_1d(dist.hazard(p, xs))
-    rows = []
-    for i, x in enumerate(xs):
-        row = [float(x), float(pdfv[i]), float(cdfv[i]), float(surv[i]), float(haz[i])]
-        if with_mrl:
-            row.append(reliability.mean_residual_life(p, float(x)))
-        rows.append(tuple(row))
+    columns = [xs, pdfv, cdfv, surv, haz]
+    if with_mrl:
+        from . import reliability
+
+        columns.append(reliability.mean_residual_life(p, xs))
+    rows = [tuple(float(v) for v in row) for row in zip(*columns)]
     return CurveGrid(rows=tuple(rows), params=p,
                      grid_spec=(float(lo), float(hi), count, spacing))
 
@@ -125,6 +124,9 @@ def _float_list(text: str) -> list:
 
 def _fit_model(name: str, values: np.ndarray, restarts: int, level: float):
     """Fit one named model; returns (FittedModel, json_dict, converged)."""
+    from . import estimation, submodels
+    from .gof import FittedModel
+
     name = submodels.KIND_ALIASES.get(name.lower(), name.lower())
     if name == "egwgd":
         cfg = estimation.FitConfig(n_restarts=restarts, ci_level=level)
@@ -167,6 +169,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import gof
+
     values = load_values(args.data)
     names = [t for t in args.models.replace(",", " ").split() if t]
     if not names:
@@ -196,6 +200,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_reliability(args) -> int:
+    from . import reliability
+
     failure = _params_from(args)
     repair_flags = [getattr(args, f"repair_{k}") for k in ("a", "b", "c", "d", "theta")]
     has_repair = any(v is not None for v in repair_flags)

@@ -111,13 +111,20 @@ def _log1mexp(z, logz):
 
 # Not shared with estimation._kernel: fits summed in its order, (log a + b log x) + L, move.
 def _inner(p: EgwgParams, x):
-    """Return (z, log z, s = x^d, c*s) for x > 0, all elementwise."""
+    """Return (z, log z, s = x^d, c*s) for x > 0, all elementwise.
+
+    Where c*s underflows to 0, log(c*s) is carried as log c + d log x, so
+    log z stays finite wherever it is representable.
+    """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", divide="ignore"):
         lnx = np.log(x)
         s = x ** p.d
         cs = p.c * s
         logz = math.log(p.a) + p.b * lnx + _log_expm1(cs)
+        under = cs == 0.0
+        if under.any():
+            logz = np.where(under, math.log(p.a) + p.b * lnx + (math.log(p.c) + p.d * lnx), logz)
         z = np.exp(logz)
     return z, logz, s, cs
 
@@ -199,9 +206,13 @@ def _log_density(p: EgwgParams, x) -> tuple[np.ndarray, np.ndarray, bool]:
             l1mez = _log1mexp(z, logz)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         lnx = np.log(xs)
-        w = p.b * (-np.expm1(-cs)) + p.c * p.d * s
+        logw = np.log(p.b * (-np.expm1(-cs)) + p.c * p.d * s)
+        under = cs == 0.0
+        if under.any():
+            # where c x^d underflows, w = (b + d) c x^d to within a factor 1 + c x^d
+            logw = np.where(under, math.log(p.c) + p.d * lnx + math.log(p.b + p.d), logw)
         out = (math.log(p.a) + math.log(p.theta) + (p.b - 1.0) * lnx
-               + cs - z + np.log(w) + (p.theta - 1.0) * l1mez)
+               + cs - z + logw + (p.theta - 1.0) * l1mez)
     out[np.isnan(out)] = -np.inf   # deep right tail: cs - z -> -inf, not inf - inf
     return np.minimum(out, _LOG_MAX), log_F, scalar
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import distribution as dist
 from .distribution import EgwgParams
@@ -492,7 +492,7 @@ def confidence_intervals(fit_result: FitResult, level: float | None = None) -> d
     level = fit_result.level if level is None else float(level)
     if not (0.0 < level < 1.0):
         raise DomainError(f"confidence level must be in (0, 1), got {level}")
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = float(ndtri(0.5 + level / 2.0))
     diag = np.diag(np.asarray(fit_result.covariance, dtype=float))
     est = [fit_result.params.a, fit_result.params.b, fit_result.params.c,
            fit_result.params.d, fit_result.params.theta]

@@ -3,8 +3,9 @@
 Adaptive quadrature on finite and semi-infinite intervals, bracketed root
 finding for strictly monotone functions, and finite-difference Hessians.
 The quadrature and root-finding engines are QUADPACK (``scipy.integrate.quad``)
-and Brent's method (``scipy.optimize.brentq``); this module owns the interval
-transformation, bracketing, error policy and stencil logic.
+and Brent's method (``scipy.optimize.brentq``), each imported inside the
+function that calls it, so importing this module loads no scipy; this module
+owns the interval transformation, bracketing, error policy and stencil logic.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .exceptions import (
     BracketError,
@@ -106,6 +105,8 @@ def integrate(
         QuadratureAccuracyError: subdivision budget exhausted before the
             tolerances were met; the error carries the best estimate.
     """
+    from scipy.integrate import quad
+
     if cfg is None:
         cfg = default_quadrature_config()
     if not lo < hi:
@@ -192,6 +193,8 @@ def find_root_increasing(
         return lo
     if fhi == 0.0:
         return hi
+    from scipy.optimize import brentq
+
     return brentq(h, lo, hi, xtol=cfg.x_tol, rtol=4.0 * np.finfo(float).eps,
                   maxiter=cfg.max_iterations)
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import distribution as dist
 from .distribution import EgwgParams
@@ -123,28 +122,37 @@ def maintainability(repair: EgwgParams, t):
     return dist.cdf(repair, t)
 
 
-def mean_residual_life(p: EgwgParams, t: float,
-                       cfg: QuadratureConfig | None = None) -> float:
+def mean_residual_life(p: EgwgParams, t, cfg: QuadratureConfig | None = None):
     """m(t) = (1 / R(t)) * integral of R over (t, inf); m(0) is the mean.
 
-    The quadrature domain is capped at the 1 - 1e-14 quantile; the mass
+    t may be a scalar (a float is returned) or an array (an array of the same
+    shape is returned, each element computed as for a scalar).  The
+    quadrature domain is capped at the 1 - 1e-14 quantile x_hi; the mass
     beyond is added as R(x_hi)/h(x_hi), a bound that is exact to the same
-    1e-14 order because the hazard increases in the far tail.
+    1e-14 order because the hazard increases in the far tail.  Both are
+    computed once per call.
     """
-    t = float(t)
-    if t < 0.0:
-        raise DomainError(f"mean residual life requires t >= 0, got {t}")
-    rt = dist.survival(p, t)
-    if rt <= 0.0:
-        raise TailOverflowError(f"survival underflowed at t = {t!r}")
-    x_hi = dist.quantile(p, _TAIL_Q)
-    if t >= x_hi:
-        # already beyond the cap: the increasing-hazard bound is the estimate
-        return 1.0 / float(dist.hazard(p, t))
-    local = _scaled_cfg(cfg, rt * (x_hi - t))
-    body = integrate(lambda x: float(dist.survival(p, x)), t, x_hi, local)
-    tail = dist.survival(p, x_hi) / float(dist.hazard(p, x_hi))
-    return (body + tail) / rt
+    ts = np.asarray(t, dtype=float)
+    out = np.empty(ts.shape)
+    x_hi = tail = None
+    for i, ti in enumerate(ts.flat):
+        ti = float(ti)
+        if ti < 0.0:
+            raise DomainError(f"mean residual life requires t >= 0, got {ti}")
+        rt = dist.survival(p, ti)
+        if rt <= 0.0:
+            raise TailOverflowError(f"survival underflowed at t = {ti!r}")
+        if x_hi is None:
+            x_hi = dist.quantile(p, _TAIL_Q)
+            tail = dist.survival(p, x_hi) / float(dist.hazard(p, x_hi))
+        if ti >= x_hi:
+            # already beyond the cap: the increasing-hazard bound is the estimate
+            out.flat[i] = 1.0 / float(dist.hazard(p, ti))
+            continue
+        local = _scaled_cfg(cfg, rt * (x_hi - ti))
+        body = integrate(lambda x: float(dist.survival(p, x)), ti, x_hi, local)
+        out.flat[i] = (body + tail) / rt
+    return float(out) if ts.ndim == 0 else out
 
 
 def mean_past_life(p: EgwgParams, t: float,
@@ -170,6 +178,8 @@ def order_stat_pdf(p: EgwgParams, i: int, n: int, x):
     i, n = int(i), int(n)
     if n < 1 or not (1 <= i <= n):
         raise DomainError(f"order statistic index out of range: i={i}, n={n}")
+    from scipy.special import gammaln
+
     lp, lf, scalar = dist._log_density(p, x)   # log f and log F from one kernel pass
     pref = gammaln(n + 1) - gammaln(i) - gammaln(n - i + 1)
     total = pref + lp

@@ -56,23 +56,23 @@ class TestFitCommand:
         assert code == 1
 
     def test_competitor_curvature_failure_is_best_effort(self, capsys, monkeypatch):
-        import egwgd.cli as cli_mod
+        from egwgd import submodels
 
         def fail(spec, values):
             raise StencilError("stencil point is not finite", 0)
 
-        monkeypatch.setattr(cli_mod.submodels, "competitor_covariance", fail)
+        monkeypatch.setattr(submodels, "competitor_covariance", fail)
         code, out, _ = run(capsys, "fit", "--data", "aarset", "--model", "ed")
         assert code == 0
         assert "covariance" not in json.loads(out)
 
     def test_competitor_curvature_bug_propagates(self, monkeypatch):
-        import egwgd.cli as cli_mod
+        from egwgd import submodels
 
         def broken(spec, values):
             raise TypeError("a programming error")
 
-        monkeypatch.setattr(cli_mod.submodels, "competitor_covariance", broken)
+        monkeypatch.setattr(submodels, "competitor_covariance", broken)
         with pytest.raises(TypeError):
             main(["fit", "--data", "aarset", "--model", "ed"])
 
@@ -288,15 +288,15 @@ class TestExitCodes:
         assert code == 1
 
     def test_non_converged_fit_exits_two(self, capsys, monkeypatch):
-        import egwgd.cli as cli_mod
-        real_fit = cli_mod.estimation.fit
+        from egwgd import estimation
+        real_fit = estimation.fit
 
         def fake_fit(data, config):
-            res = real_fit(data, cli_mod.estimation.FitConfig(n_restarts=1))
+            res = real_fit(data, estimation.FitConfig(n_restarts=1))
             res.converged = False
             return res
 
-        monkeypatch.setattr(cli_mod.estimation, "fit", fake_fit)
+        monkeypatch.setattr(estimation, "fit", fake_fit)
         code, out, _ = run(capsys, "fit", "--data", "aarset", "--model", "egwgd")
         assert code == 2
         assert json.loads(out)["converged"] is False

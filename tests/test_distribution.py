@@ -48,6 +48,10 @@ BENCH_PARAMS = [
     EgwgParams(0.001, 0.5, 0.3, 0.8, 0.5),
 ]
 
+# theta < 1 law whose c x^d underflows to 0 at its F = 1e-300 point, x = 1.57e-151
+UNDERFLOW_LAW = EgwgParams(3.8493535490808457e-4, 1.627668684951657, 0.2417870420636666,
+                           2.370463612209023, 0.4942615254589158)
+
 
 def _small_z_clamp_v(p):
     """log x where F = 1e-300, from log F = theta (log a + log c + (b + d) log x)."""
@@ -56,10 +60,9 @@ def _small_z_clamp_v(p):
 
 def clamp_point(p):
     """x where F = 1e-300, below which log f is clamped when theta < 1, or None
-    where that point or c x^d there is outside the floating-point range (the
-    latter case is test_clamp_root_where_the_kernel_underflows)."""
+    where that point is outside the floating-point range."""
     v = _small_z_clamp_v(p)
-    if p.theta < 1.0 and v > -600.0 and math.log(p.c) + p.d * v > -600.0:
+    if p.theta < 1.0 and v > -600.0:
         return quantile(p, 1e-300)
     return None
 
@@ -163,6 +166,24 @@ class TestPdf:
             assert log_pdf(p, xc * 1e-12) == log_pdf(p, xc * 0.5) == at
             n += 1
         assert n >= 10
+
+    @pytest.mark.parametrize("x", [1.5698228573767515e-151, 1.57e-151, 1e-140])
+    def test_finite_where_the_kernel_underflows(self, x):
+        # y = c x^d underflows to 0 here, while log y = log c + d log x does not;
+        # to first order in y, e^y - 1 = y, 1 - e^{-z} = z e^{-z/2} and
+        # w = b (1 - e^{-y}) + c d x^d = (b + d) y
+        p = UNDERFLOW_LAW
+        lnx = math.log(x)
+        logy = math.log(p.c) + p.d * lnx
+        assert math.exp(logy) == 0.0
+        logz = math.log(p.a) + p.b * lnx + logy
+        z = math.exp(logz)
+        log1mez = logz - z / 2.0
+        want_lf = p.theta * log1mez
+        want_lp = (math.log(p.a) + math.log(p.theta) + (p.b - 1.0) * lnx - z
+                   + logy + math.log(p.b + p.d) + (p.theta - 1.0) * log1mez)
+        assert_allclose(log_cdf(p, x), want_lf, rtol=1e-14)
+        assert_allclose(log_pdf(p, x), want_lp, rtol=1e-14)
 
     def test_gompertz_closed_form(self):
         expected = math.e * math.exp(-(math.e - 1.0))
@@ -333,8 +354,7 @@ class TestQuantile:
 
     def test_clamp_root_where_the_kernel_underflows(self):
         # c x^d underflows at the root of F = 1e-300, which is then the small-z one
-        p = EgwgParams(3.8493535490808457e-4, 1.627668684951657, 0.2417870420636666,
-                       2.370463612209023, 0.4942615254589158)
+        p = UNDERFLOW_LAW
         v = _small_z_clamp_v(p)
         assert math.log(p.c) + p.d * v < -745.0
         assert_allclose(math.log(quantile(p, 1e-300)), v, rtol=1e-14)

@@ -152,6 +152,21 @@ class TestMeanResidualLife:
         assert np.all(vals >= 0.0)
         assert np.all(np.diff(vals + grid) >= -1e-8)
 
+    def test_array_solves_the_tail_cap_once(self, monkeypatch):
+        from egwgd import distribution
+
+        p = EgwgParams(0.5, 0.2, 0.3, 0.5, 1.5)
+        ts = np.linspace(0.0, quantile(p, 0.99), 100)
+        scalar = [mean_residual_life(p, float(t)) for t in ts]
+        solves = []
+        real = distribution.quantile
+        monkeypatch.setattr(distribution, "quantile",
+                            lambda *a: solves.append(a) or real(*a))
+        got = mean_residual_life(p, ts)
+        assert len(solves) == 1
+        assert got.shape == ts.shape and list(got) == scalar
+        assert type(mean_residual_life(p, ts[1])) is float
+
     def test_printed_mle_riemann_oracle_at_18(self):
         # brute-force midpoint Riemann sum of the survival integral
         xs = np.linspace(18.0, 1e4, 1_000_001)
