@@ -109,7 +109,7 @@ def _log1mexp(z, logz):
     return out
 
 
-# Not shared with estimation._kernel: fits summed in its order, (log a + b log x) + L, move.
+# Not shared with estimation._kernel: fits summed in this order end higher on some samples.
 def _inner(p: EgwgParams, x):
     """Return (z, log z, s = x^d, c*s) for x > 0, all elementwise.
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from egwgd import (
@@ -43,14 +45,22 @@ PROFILE_THETA_AT_PRINTED = 0.24622935682640335
 AARSET_NEGLOGLIK = 210.91838357686976
 
 
+# an n = 100 sample on which the first L-BFGS-B run of restart 1 stalls
+# (max projected gradient 1.29) and the others stop stationary
+RETRY_SAMPLE = Dataset(sample(
+    EgwgParams(0.0006997865945133257, 1.5341700654097878, 0.33513633514187957,
+               0.42152009886084396, 0.17155509369597563), 100, 179))
+
+
 def _spy_stages(monkeypatch):
-    """Record every optimiser stage fit runs, in call order, as (method, result)."""
+    """Record every optimiser stage fit runs, in call order, as (x0, result)."""
     calls = []
     real = estimation.minimize
 
     def spy(fun, x0, *args, method=None, **kwargs):
+        assert method == "L-BFGS-B"
         r = real(fun, x0, *args, method=method, **kwargs)
-        calls.append((method, r))
+        calls.append((np.array(x0), r))
         return r
 
     monkeypatch.setattr(estimation, "minimize", spy)
@@ -58,18 +68,16 @@ def _spy_stages(monkeypatch):
 
 
 def _by_restart(calls):
-    """[(first L-BFGS-B result, Nelder-Mead result or None)] per restart.
+    """[(first L-BFGS-B result, retry result or None)] per restart.
 
-    A restart opens with L-BFGS-B; the only other L-BFGS-B call is the
-    polish, which directly follows a Nelder-Mead stage.
+    A retry is the L-BFGS-B run that starts where the one before it ended.
     """
-    out, prev = [], None
-    for method, r in calls:
-        if method == "Nelder-Mead":
+    out = []
+    for x0, r in calls:
+        if out and out[-1][1] is None and np.array_equal(x0, out[-1][0].x):
             out[-1][1] = r
-        elif prev != "Nelder-Mead":
+        else:
             out.append([r, None])
-        prev = method
     return [tuple(t) for t in out]
 
 
@@ -154,6 +162,15 @@ class TestGradient:
                 denom = np.maximum(np.abs(fd), 1e-6 * max(1.0, abs(L)))
                 assert np.max(np.abs(an - fd) / denom) < 1e-5
 
+    def test_matches_finite_differences_where_c_x_d_is_tiny(self):
+        # at x = 1e-14, c x^d = 1.3e-19, where 1 + (c d / b) x^d - e^{-c x^d}
+        # cancels to 0 in floating point
+        data = Dataset(np.array([1e-14, 1e-3, 0.5, 1.0, 2.0]))
+        p = EgwgParams(0.05, 0.05, 0.2, 1.3, 0.2)
+        an = loglik_grad(p, data)
+        fd = self.fd_gradient(p, data)
+        assert np.max(np.abs(an - fd) / np.abs(fd)) < 1e-5
+
     def test_theta_component_zero_at_profile(self, aarset_data):
         a, b, c, d = 2e-4, 0.3, 0.3, 0.8
         th = profile_theta(a, b, c, d, aarset_data)
@@ -204,7 +221,7 @@ class TestObjective:
         rng = np.random.default_rng(31)
         lo = np.log([b[0] for b in FitConfig().box])
         hi = np.log([b[1] for b in FitConfig().box])
-        tenable = untenable = 0
+        tenable = untenable = huge = 0
         for _ in range(50):
             u = rng.uniform(lo, hi)
             f, gu = obj.value_grad(u)
@@ -216,18 +233,42 @@ class TestObjective:
                 p = None
             ll = -math.inf if p is None else loglik(p, aarset_data)
             assert f == (-ll if math.isfinite(ll) else _BIG)
-            if f >= _BIG:
+            if f == _BIG:   # only the sentinel has no slope
                 untenable += 1
                 assert not np.any(gu)
                 continue
             tenable += 1
+            huge += f > _BIG
             with np.errstate(all="ignore"):
                 expected = -loglik_grad(p, aarset_data)[:4] * np.exp(u)
             if np.all(np.isfinite(expected)):
                 np.testing.assert_array_equal(gu, expected)
             else:
                 assert not np.any(gu)
-        assert tenable >= 30 and untenable >= 5
+        assert tenable >= 30 and untenable >= 5 and huge >= 3
+
+    # Finite -L far above _BIG: the gradient L-BFGS-B's line search sees at
+    # such a trial point must be its slope, not zero.
+    @given(st.tuples(*(st.floats(lo, hi) for lo, hi in np.log(FitConfig().box))))
+    @example((-9.73218504, 0.46970097, 2.74277722, -1.42786419))   # -L = 3.5e19
+    def test_gradient_matches_central_differences(self, aarset_data, u):
+        obj = _Objective(aarset_data)
+        u = np.array(u)
+        f, gu = obj.value_grad(u)
+        assume(f != _BIG)
+        a, b, c, d = np.exp(u)
+        p = EgwgParams(a, b, c, d, profile_theta(a, b, c, d, aarset_data))
+        with np.errstate(all="ignore"):
+            assume(np.all(np.isfinite(loglik_grad(p, aarset_data))))   # no overflow
+        h = 1e-6
+        fd = np.empty(4)
+        for i in range(4):
+            e = np.zeros(4)
+            e[i] = h
+            up, dn = obj.value(u + e), obj.value(u - e)
+            assume(_BIG not in (up, dn))
+            fd[i] = (up - dn) / (2.0 * h)
+        assert np.max(np.abs(gu - fd)) <= 1e-4 * np.max(np.abs(fd))
 
 
 class TestFit:
@@ -249,16 +290,16 @@ class TestFit:
     def test_aarset_loglik_is_kept(self, aarset_egwgd_fit):
         assert abs(aarset_egwgd_fit.loglik + AARSET_NEGLOGLIK) <= 1e-9
 
-    def test_simplex_runs_only_where_lbfgsb_stops_short(self, aarset_data, monkeypatch):
+    def test_retry_runs_only_where_lbfgsb_stops_short(self, monkeypatch):
         cfg = FitConfig()
         calls = _spy_stages(monkeypatch)
-        fit(aarset_data, cfg)
+        fit(RETRY_SAMPLE, cfg)
         restarts = _by_restart(calls)
         assert len(restarts) == cfg.n_restarts
-        obj = _Objective(aarset_data)
+        obj = _Objective(RETRY_SAMPLE)
         lo = np.log([b[0] for b in cfg.box])
         hi = np.log([b[1] for b in cfg.box])
-        for anchor, (r1, r2) in zip(_anchors(aarset_data.values, cfg.n_restarts), restarts):
+        for anchor, (r1, r2) in zip(_anchors(RETRY_SAMPLE.values, cfg.n_restarts), restarts):
             f0 = obj.value(np.clip(np.log(anchor), lo, hi))
             _, gu = obj.value_grad(r1.x)
             inert = ((np.isclose(r1.x, lo, rtol=0.0, atol=1e-12) & (gu > 0.0))
@@ -266,23 +307,28 @@ class TestFit:
             pg = np.max(np.abs(gu[~inert]), initial=0.0)
             stationary = r1.fun < _BIG and pg <= cfg.stationarity_scale * max(1.0, abs(r1.fun))
             assert (r2 is not None) == (not stationary or r1.fun > f0)
-        # some restarts need the rescue and some do not
+        # some restarts need the retry and some do not
         assert 0 < sum(r2 is not None for _, r2 in restarts) < cfg.n_restarts
 
-    def test_short_lbfgsb_runs_the_simplex_everywhere(self, aarset_data, monkeypatch):
+    def test_retry_rescues_a_stalled_single_restart(self):
+        # without the retry this fit ends non-converged at -L = 312.366
+        res = fit(RETRY_SAMPLE, FitConfig(n_restarts=1))
+        assert res.converged
+        assert abs(res.loglik + 307.88457560264146) <= 1e-9
+
+    def test_short_lbfgsb_retries_everywhere(self, aarset_data, monkeypatch):
         calls = _spy_stages(monkeypatch)
         res = fit(aarset_data, FitConfig(polish_max_iter=1))
         restarts = _by_restart(calls)
         assert len(restarts) == 8
         assert all(r2 is not None for _, r2 in restarts)
-        assert res.converged
-        assert abs(res.loglik + 210.9183835770943) <= 1e-9
+        assert not res.converged   # one iteration per run reaches no stationary point
 
-    def test_debug_record_per_restart(self, aarset_data, monkeypatch, caplog):
+    def test_debug_record_per_restart(self, monkeypatch, caplog):
         cfg = FitConfig()
         calls = _spy_stages(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="egwgd"):
-            fit(aarset_data, cfg)
+            fit(RETRY_SAMPLE, cfg)
         records = [r for r in caplog.records if r.name == "egwgd.estimation"]
         restarts = _by_restart(calls)
         assert len(records) == len(restarts) == cfg.n_restarts
@@ -292,9 +338,9 @@ class TestFit:
             assert msg.startswith(f"restart {k}: L-BFGS-B nfev={r1.nfev} ({r1.message}), "
                                   "max projected gradient ")
             if r2 is None:
-                assert msg.endswith("; simplex skipped")
-            else:   # includes a stop at simplex_max_iter
-                assert msg.endswith(f"; simplex ran: nit={r2.nit} ({r2.message})")
+                assert msg.endswith("; retry skipped")
+            else:
+                assert msg.endswith(f"; retry ran: nfev={r2.nfev} ({r2.message})")
 
     def test_library_logger_is_silent_by_default(self):
         handlers = logging.getLogger("egwgd").handlers
