@@ -21,7 +21,7 @@ from .exceptions import (
     LeftTailUnderflowError,
     TailOverflowError,
 )
-from .numerics import RootConfig, find_root_increasing
+from .numerics import find_root_increasing  # noqa: F401  (perfbench's tracer wraps this name)
 
 __all__ = [
     "EgwgParams",
@@ -109,24 +109,25 @@ def _log1mexp(z, logz):
     return out
 
 
-# Not shared with estimation._kernel: fits summed in this order end higher on some samples.
-def _inner(p: EgwgParams, x):
-    """Return (z, log z, s = x^d, c*s) for x > 0, all elementwise.
+def _inner(a: float, b: float, c: float, d: float, x):
+    """Return (log x, s = x^d, c*s, log g, log z, z) for x > 0, all elementwise.
 
-    Where c*s underflows to 0, log(c*s) is carried as log c + d log x, so
-    log z stays finite wherever it is representable.
+    g = x^b (e^{c s} - 1) and z = a g, summed as log z = log a + log g.
+    Where c*s underflows to 0, log(e^{c s} - 1) is carried as log c + d log x,
+    so log z stays finite wherever it is representable.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", divide="ignore"):
         lnx = np.log(x)
-        s = x ** p.d
-        cs = p.c * s
-        logz = math.log(p.a) + p.b * lnx + _log_expm1(cs)
+        s = x ** d
+        cs = c * s
+        lg = b * lnx + _log_expm1(cs)
         under = cs == 0.0
         if under.any():
-            logz = np.where(under, math.log(p.a) + p.b * lnx + (math.log(p.c) + p.d * lnx), logz)
+            lg = np.where(under, b * lnx + (math.log(c) + d * lnx), lg)
+        logz = math.log(a) + lg
         z = np.exp(logz)
-    return z, logz, s, cs
+    return lnx, s, cs, lg, logz, z
 
 
 def _as_x_array(x, *, allow_zero: bool) -> tuple[np.ndarray, bool]:
@@ -155,7 +156,7 @@ def _log_F(p: EgwgParams, x) -> tuple[np.ndarray, bool]:
     xs, scalar = _as_x_array(x, allow_zero=True)
     out = np.full(xs.shape, -np.inf)
     pos = xs > 0.0
-    z, logz, _, _ = _inner(p, xs[pos])
+    _, _, _, _, logz, z = _inner(p.a, p.b, p.c, p.d, xs[pos])
     out[pos] = p.theta * _log1mexp(z, logz)
     return out, scalar
 
@@ -193,7 +194,7 @@ def _log_density(p: EgwgParams, x) -> tuple[np.ndarray, np.ndarray, bool]:
     blows up as x -> 0+, log f is clamped at the point where F = 1e-300.
     """
     xs, scalar = _as_x_array(x, allow_zero=False)
-    z, logz, s, cs = _inner(p, xs)
+    lnx, s, cs, _, logz, z = _inner(p.a, p.b, p.c, p.d, xs)
     l1mez = _log1mexp(z, logz)
     log_F = p.theta * l1mez
     if p.theta < 1.0 and np.any(log_F < _LOG_TINY):
@@ -202,10 +203,9 @@ def _log_density(p: EgwgParams, x) -> tuple[np.ndarray, np.ndarray, bool]:
         except BracketError:   # no clamp below the float range
             pass
         else:
-            z, logz, s, cs = _inner(p, xs)
+            lnx, s, cs, _, logz, z = _inner(p.a, p.b, p.c, p.d, xs)
             l1mez = _log1mexp(z, logz)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        lnx = np.log(xs)
         logw = np.log(p.b * (-np.expm1(-cs)) + p.c * p.d * s)
         under = cs == 0.0
         if under.any():
@@ -230,11 +230,15 @@ def pdf(p: EgwgParams, x):
 
 
 def _largest_representable_x(p: EgwgParams) -> float:
-    """x beyond which R(x) underflows to exactly zero (approximate)."""
-    target = math.log(745.0 - min(0.0, math.log(p.theta)))
+    """x beyond which R(x) underflows to exactly zero.
+
+    R = theta e^{-z} underflows once z passes about 745.13 + min(0, log theta);
+    at z = 744.4 + min(0, log theta), e^{-z} rounded to the subnormal grid
+    stays nonzero after the product with theta.
+    """
+    log_t = math.log(744.4 + min(0.0, math.log(p.theta))) - math.log(p.a)
     try:
-        return find_root_increasing(
-            lambda x: float(_inner(p, x)[1]), target, RootConfig(x_tol=1e-6))
+        return float(np.exp(_solve_log_x(p, np.array([log_t]))[0]))
     except BracketError:
         return math.inf
 
@@ -289,8 +293,8 @@ def _quantile_g(p: EgwgParams, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return p.b * v + lem, p.b + p.d * np.exp(logy + y - lem)
 
 
-def _batch_quantile(p: EgwgParams, q) -> np.ndarray:
-    """Inverse CDF at each q in [0, 1): Newton's method on g(v) = log t(q), v = log x.
+def _solve_log_x(p: EgwgParams, log_t: np.ndarray) -> np.ndarray:
+    """v = log x with g(v) = log t, elementwise, by Newton's method.
 
     g is increasing and convex, and log(e^y - 1) >= log y puts
     v_R = (log t - log c) / (b + d) on or right of the root (on it while y
@@ -299,13 +303,6 @@ def _batch_quantile(p: EgwgParams, q) -> np.ndarray:
     large-y tail, y = |log t| + 1 is a closer start wherever g >= log t there.
     Raises BracketError if a root lies outside x = 2^-996 ... 2^996.
     """
-    q = np.asarray(q, dtype=float)
-    bad = ~((q >= 0.0) & (q < 1.0))
-    if np.any(bad):
-        raise DomainError(f"quantile requires 0 <= q < 1, got {float(q[bad][0])!r}")
-    out = np.zeros(q.shape)
-    pos = q > 0.0
-    log_t = _log_target(p, q[pos])
     v = np.minimum((log_t - math.log(p.c)) / (p.b + p.d), _LOG_X_GUARD)
     v_tail = (np.log1p(np.abs(log_t)) - math.log(p.c)) / p.d
     g0 = _quantile_g(p, np.concatenate(([-_LOG_X_GUARD, _LOG_X_GUARD], v_tail)))[0]
@@ -326,7 +323,18 @@ def _batch_quantile(p: EgwgParams, q) -> np.ndarray:
             break
     else:
         raise RuntimeError(f"quantile Newton solve did not converge in {_NEWTON_MAX_ITER} steps")
-    out[pos] = np.exp(v)
+    return v
+
+
+def _batch_quantile(p: EgwgParams, q) -> np.ndarray:
+    """Inverse CDF at each q in [0, 1): the root of g(log x) = log t(q) (see _solve_log_x)."""
+    q = np.asarray(q, dtype=float)
+    bad = ~((q >= 0.0) & (q < 1.0))
+    if np.any(bad):
+        raise DomainError(f"quantile requires 0 <= q < 1, got {float(q[bad][0])!r}")
+    out = np.zeros(q.shape)
+    pos = q > 0.0
+    out[pos] = np.exp(_solve_log_x(p, _log_target(p, q[pos])))
     return out
 
 

@@ -288,6 +288,19 @@ class TestHazard:
             hazard(printed_mle, 1e6)
         assert "largest representable" in str(err.value)
 
+    @pytest.mark.parametrize("theta", [0.01, 0.246, 1.0, 1.5, 20.0])
+    def test_named_limit_is_the_survival_edge(self, theta):
+        # R = theta e^{-z} underflows sooner for theta < 1, so the edge moves left
+        rng = np.random.default_rng(41)
+        laws = [EgwgParams(0.5, 0.2, 0.3, 0.5, theta)]
+        laws += [EgwgParams(q.a, q.b, q.c, q.d, theta)
+                 for q in (random_params(rng) for _ in range(6))]
+        for p in laws:
+            edge = distribution._largest_representable_x(p)
+            assert math.isfinite(hazard(p, edge))
+            with pytest.raises(TailOverflowError, match=f"x = {edge:.6g}$"):
+                hazard(p, 1.01 * edge)
+
 
 class TestReversedHazard:
     def test_defining_identity(self):

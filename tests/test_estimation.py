@@ -16,6 +16,7 @@ from egwgd import (
     FitResult,
     confidence_intervals,
     fit,
+    log_cdf,
     log_pdf,
     loglik,
     loglik_grad,
@@ -32,7 +33,7 @@ from egwgd.exceptions import (
     LeftTailUnderflowError,
 )
 from egwgd.submodels import CompetitorSpec, competitor_covariance, fit_competitor
-from conftest import PRINTED_MLE, RECOVERY_TRUTH
+from conftest import PRINTED_MLE, RECOVERY_TRUTH, random_params
 
 # 50-digit evaluation of the log-likelihood at the printed five-parameter
 # MLE, computed before the build.  Of the two published candidates (224.54
@@ -171,6 +172,17 @@ class TestGradient:
         fd = self.fd_gradient(p, data)
         assert np.max(np.abs(an - fd) / np.abs(fd)) < 1e-5
 
+    def test_matches_finite_differences_where_c_x_d_underflows(self):
+        # at x = 1e-200, x^d = 1e-400 underflows to 0, so W = 1 + (c d / b) x^d
+        # - e^{-c x^d} is 0 and its ratios take their c x^d -> 0 limits
+        data = Dataset(np.array([1e-200, 0.5, 1.0, 2.0, 3.0, 5.0]))
+        a, b, c, d = 0.1, 0.5, 0.05, 2.0
+        p = EgwgParams(a, b, c, d, profile_theta(a, b, c, d, data))
+        assert abs(loglik(p, data)) < 1e3
+        an = loglik_grad(p, data)[:4]   # dL/dtheta = 0 at the profile, below FD noise
+        fd = self.fd_gradient(p, data)[:4]
+        assert np.max(np.abs(an - fd) / np.abs(fd)) < 1e-5
+
     def test_theta_component_zero_at_profile(self, aarset_data):
         a, b, c, d = 2e-4, 0.3, 0.3, 0.8
         th = profile_theta(a, b, c, d, aarset_data)
@@ -198,12 +210,33 @@ class TestProfileTheta:
         assert_allclose(th, PROFILE_THETA_AT_PRINTED, rtol=1e-10)
         assert abs(th - 0.246) / 0.246 < 0.15
 
-    def test_underflow_raises(self):
-        # x^d underflows to exactly 0, so the inner exponent cannot even be
-        # formed in log space
+    @staticmethod
+    def unit_theta_profile(a, b, c, d, data):
+        with np.errstate(divide="ignore"):
+            return -data.n / np.sum(log_cdf(EgwgParams(a, b, c, d, 1.0), data.values))
+
+    def test_is_exactly_the_unit_theta_log_cdf(self, aarset_data):
+        # one inner kernel: the profile sums the same log(1 - e^{-z}) as log_cdf
+        rng = np.random.default_rng(4)
+        lo, hi = np.log(FitConfig().box).T
+        compared = 0
+        for _ in range(200):
+            a, b, c, d = np.exp(rng.uniform(lo, hi))
+            want = self.unit_theta_profile(a, b, c, d, aarset_data)
+            if math.isfinite(want):
+                compared += 1
+                assert profile_theta(a, b, c, d, aarset_data) == want
+            else:   # every log F rounds to 0
+                with pytest.raises(LeftTailUnderflowError):
+                    profile_theta(a, b, c, d, aarset_data)
+        assert compared >= 150
+
+    def test_finite_where_x_d_underflows(self):
+        # x^d underflows to exactly 0; log z is carried as log a + b log x + log c + d log x
         d = Dataset(np.array([1e-300]))
-        with pytest.raises(LeftTailUnderflowError):
-            profile_theta(1e-10, 1.0, 1e-6, 2.0, d)
+        th = profile_theta(1e-10, 1.0, 1e-6, 2.0, d)
+        assert math.isfinite(th)
+        assert th == self.unit_theta_profile(1e-10, 1.0, 1e-6, 2.0, d)
 
     def test_profile_maximises_over_theta(self, aarset_data):
         a, b, c, d = PRINTED_MLE.a, PRINTED_MLE.b, PRINTED_MLE.c, PRINTED_MLE.d
@@ -289,6 +322,15 @@ class TestFit:
 
     def test_aarset_loglik_is_kept(self, aarset_egwgd_fit):
         assert abs(aarset_egwgd_fit.loglik + AARSET_NEGLOGLIK) <= 1e-9
+
+    def test_loglik_is_that_of_the_reported_params(self):
+        # law 1 of generator seed 1, where L-BFGS-B's own value at the
+        # terminus differs from the log-likelihood there by 7.1e-15
+        rng = np.random.default_rng(1)
+        law = [random_params(rng) for _ in range(2)][1]
+        data = Dataset(sample(law, 30, 1040))
+        res = fit(data)
+        assert res.loglik == loglik(res.params, data)
 
     def test_retry_runs_only_where_lbfgsb_stops_short(self, monkeypatch):
         cfg = FitConfig()

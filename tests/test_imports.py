@@ -49,14 +49,20 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sci
 """
 
 
-def scipy_modules_after(argv):
+def run_child(argv):
+    """(exit code, scipy modules loaded, stderr) of argv in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argv)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(modules), proc.stderr
+
+
+def scipy_modules_after(argv):
+    code, modules, _ = run_child(argv)
     assert code == 0
-    return set(modules)
+    return modules
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +78,15 @@ def test_import_egwgd_loads_no_scipy():
 @pytest.mark.parametrize("name", ["eval", "sample", "curves"])
 def test_pointwise_commands_load_no_scipy(loaded, name):
     assert loaded[name] == set()
+
+
+def test_eval_past_the_survival_edge_names_it_without_scipy():
+    # hazard raises past the edge, and the Newton solve in log x names it
+    law = ["--a", "0.5", "--b", "0.2", "--c", "0.3", "--d", "0.5", "--theta", "0.246"]
+    code, modules, stderr = run_child(["eval", *law, "--x", "500"])
+    assert code == 1
+    assert "largest representable point is about x = 413.594" in stderr
+    assert modules == set()
 
 
 def test_no_command_loads_scipy_stats(loaded):
