@@ -32,8 +32,7 @@ _SOURCES = {
     ),
     "gof": ("FittedModel", "GofReport", "compare", "info_criteria", "ks_pvalue", "ks_statistic"),
     "numerics": (
-        "QuadratureConfig", "RootConfig", "integrate", "find_root_increasing",
-        "numerical_hessian",
+        "QuadratureConfig", "integrate", "find_root_increasing", "numerical_hessian",
     ),
     "reliability": (
         "RepairableSystem", "availability", "maintainability", "mean_past_life",

@@ -290,8 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rel = sub.add_parser("reliability", help="MTTF/MTBF/availability/MRL/MPL summary")
     _add_param_flags(p_rel)
-    for name in ("a", "b", "c", "d", "theta"):
-        p_rel.add_argument(f"--repair-{name}", type=float, default=None)
+    _add_param_flags(p_rel, "repair-", required=False)
     p_rel.add_argument("--t", default=None, help="comma-separated evaluation times")
     p_rel.add_argument("--out", default=None)
     p_rel.set_defaults(func=_cmd_reliability)

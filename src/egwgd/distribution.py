@@ -168,8 +168,8 @@ def log_cdf(p: EgwgParams, x):
 
 def cdf(p: EgwgParams, x):
     """F(x) = [1 - e^{-a x^b (e^{c x^d} - 1)}]^theta, for x >= 0."""
-    lf = log_cdf(p, x)
-    return np.exp(lf) if not np.isscalar(lf) else math.exp(lf)
+    lf, scalar = _log_F(p, x)
+    return _ret(np.exp(lf), scalar)
 
 
 def log_survival(p: EgwgParams, x):
@@ -225,8 +225,8 @@ def log_pdf(p: EgwgParams, x):
 
 def pdf(p: EgwgParams, x):
     """f(x) = exp(log_pdf(x)); density defined on the open positive half-line."""
-    lp = log_pdf(p, x)
-    return np.exp(lp) if not np.isscalar(lp) else math.exp(lp)
+    lp = log_pdf(p, x)   # by name, so perfbench's tracer still counts these points
+    return _ret(np.exp(np.atleast_1d(lp)), np.ndim(lp) == 0)
 
 
 def _largest_representable_x(p: EgwgParams) -> float:
@@ -349,6 +349,7 @@ def median(p: EgwgParams) -> float:
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_MODE_GRID = 512   # points in mode's log-spaced scan
 
 
 def _golden_max(fn, lo: float, hi: float, iters: int = 200) -> float:
@@ -370,16 +371,17 @@ def _golden_max(fn, lo: float, hi: float, iters: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
-def mode(p: EgwgParams, grid_points: int = 512) -> float:
+def mode(p: EgwgParams) -> float:
     """Maximiser of the density over (0, inf); 0.0 denotes a boundary mode.
 
-    Scans a log-spaced grid between the 1e-6 and 1 - 1e-6 quantiles, then
-    refines with golden-section search.  When the supremum is approached as
-    x -> 0+ (e.g. theta < 1, or decreasing sub-family densities), the
-    boundary mode 0.0 is reported.  Flat ties resolve to the leftmost point.
+    Scans a 512-point log-spaced grid between the 1e-6 and 1 - 1e-6
+    quantiles, then refines with golden-section search.  When the supremum
+    is approached as x -> 0+ (e.g. theta < 1, or decreasing sub-family
+    densities), the boundary mode 0.0 is reported.  Flat ties resolve to the
+    leftmost point.
     """
     lo, hi = _batch_quantile(p, np.array([1e-6, 1.0 - 1e-6]))
-    grid = np.geomspace(lo, hi, grid_points)
+    grid = np.geomspace(lo, hi, _MODE_GRID)
     lp = np.atleast_1d(log_pdf(p, grid))
     i = int(np.argmax(lp))
     if i == 0:
@@ -389,7 +391,7 @@ def mode(p: EgwgParams, grid_points: int = 512) -> float:
         if lp_probe[0] >= lp[0] and np.all(np.diff(lp_probe) >= 0.0):
             return 0.0
         bracket = (probes[0], grid[1])
-    elif i == grid_points - 1:
+    elif i == _MODE_GRID - 1:
         bracket = (grid[i - 1], hi)
     else:
         bracket = (grid[i - 1], grid[i + 1])

@@ -433,8 +433,7 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     return result
 
 
-def observed_information(p: EgwgParams, data: Dataset,
-                         step_scale: float = 1e-4) -> np.ndarray:
+def observed_information(p: EgwgParams, data: Dataset) -> np.ndarray:
     """Negative numerical Hessian of the log-likelihood at p (5 x 5)."""
     if min(p.a, p.b, p.c, p.d, p.theta) <= 0.0:
         raise InvalidParametersError("observed information requires a strictly interior point")
@@ -443,7 +442,7 @@ def observed_information(p: EgwgParams, data: Dataset,
     def L(v):
         return loglik(EgwgParams(*v), data)
 
-    return -numerical_hessian(L, point, step_scale)
+    return -numerical_hessian(L, point)
 
 
 def confidence_intervals(fit_result: FitResult, level: float | None = None) -> dict:

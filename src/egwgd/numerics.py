@@ -11,7 +11,6 @@ owns the interval transformation, bracketing, error policy and stencil logic.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,14 +25,10 @@ from .exceptions import (
 
 __all__ = [
     "QuadratureConfig",
-    "RootConfig",
-    "default_quadrature_config",
     "integrate",
     "find_root_increasing",
     "numerical_hessian",
 ]
-
-_ENV_RTOL = "EGWG_QUAD_RTOL"
 
 
 @dataclass(frozen=True)
@@ -55,33 +50,6 @@ class QuadratureConfig:
             raise ValueError(f"abs_tol must be >= 0, got {self.abs_tol}")
         if self.max_subdivisions < 1:
             raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
-
-
-@dataclass(frozen=True)
-class RootConfig:
-    """Tolerance and budget for bracketed root finding.
-
-    The default absolute tolerance is far below any representable root
-    scale, so termination is governed by the fixed relative tolerance
-    (4 ulp) at any root magnitude.
-    """
-
-    x_tol: float = 1e-300
-    max_iterations: int = 256
-
-    def __post_init__(self):
-        if not (self.x_tol > 0.0):
-            raise ValueError(f"x_tol must be > 0, got {self.x_tol}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-
-
-def default_quadrature_config() -> QuadratureConfig:
-    """Default quadrature tolerances, honouring the EGWG_QUAD_RTOL override."""
-    rtol = os.environ.get(_ENV_RTOL)
-    if rtol is None:
-        return QuadratureConfig()
-    return QuadratureConfig(rel_tol=float(rtol))
 
 
 def integrate(
@@ -108,7 +76,7 @@ def integrate(
     from scipy.integrate import quad
 
     if cfg is None:
-        cfg = default_quadrature_config()
+        cfg = QuadratureConfig()
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if not (scale > 0.0 and math.isfinite(scale)):
@@ -149,34 +117,27 @@ _X_OVERFLOW_GUARD = 1e300
 _X_UNDERFLOW_GUARD = 1e-300
 
 
-def find_root_increasing(
-    g: Callable[[float], float],
-    target: float,
-    cfg: RootConfig | None = None,
-    *,
-    x0: float = 1.0,
-) -> float:
+def find_root_increasing(g: Callable[[float], float], target: float) -> float:
     """Solve ``g(x) = target`` for strictly increasing ``g`` on (0, inf).
 
-    The bracket is grown geometrically from ``x0`` (doubling upward, halving
+    The bracket is grown geometrically from x = 1 (doubling upward, halving
     downward), then closed with Brent's method, so no prior scale is assumed.
+    Brent stops at a relative tolerance of 4 ulp (the absolute tolerance
+    1e-300 is below any representable root scale) or after 256 iterations.
 
     Raises:
         BracketError: the target lies below ``g(0+)`` / above ``g``'s range,
             or the expansion hit the overflow/underflow guards, or ``g``
             returned a non-finite value while bracketing.
     """
-    if cfg is None:
-        cfg = RootConfig()
-
     def h(x: float) -> float:
         v = g(x) - target
         if math.isnan(v):
             raise BracketError(f"function returned NaN at x={x!r}")
         return v
 
-    lo = hi = x0
-    flo = fhi = h(x0)
+    lo = hi = 1.0
+    flo = fhi = h(1.0)
     while fhi < 0.0:
         hi *= 2.0
         if hi > _X_OVERFLOW_GUARD:
@@ -195,20 +156,20 @@ def find_root_increasing(
         return hi
     from scipy.optimize import brentq
 
-    return brentq(h, lo, hi, xtol=cfg.x_tol, rtol=4.0 * np.finfo(float).eps,
-                  maxiter=cfg.max_iterations)
+    return brentq(h, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=256)
+
+
+_STEP_FLOOR = 1e-8   # smallest |p_i| a stencil step is scaled by
 
 
 def numerical_hessian(
     f: Callable[[np.ndarray], float],
     point: Sequence[float],
     step_scale: float = 1e-4,
-    *,
-    floor: float = 1e-8,
 ) -> np.ndarray:
     """Central-difference Hessian of a scalar function, symmetrised.
 
-    Per-coordinate steps are ``step_scale * max(|p_i|, floor)``, balancing
+    Per-coordinate steps are ``step_scale * max(|p_i|, 1e-8)``, balancing
     truncation against round-off for log-likelihoods of ~50-point samples.
 
     Raises:
@@ -217,7 +178,7 @@ def numerical_hessian(
     """
     p = np.asarray(point, dtype=float)
     n = p.size
-    h = step_scale * np.maximum(np.abs(p), floor)
+    h = step_scale * np.maximum(np.abs(p), _STEP_FLOOR)
 
     def ev(q: np.ndarray, coord) -> float:
         v = float(f(q))

@@ -33,26 +33,21 @@ __all__ = [
 _TAIL_Q = 1.0 - 1e-14   # quadrature domain cap for survival integrals
 
 
-def _scaled_cfg(cfg: QuadratureConfig | None, magnitude: float) -> QuadratureConfig:
-    """Pin the absolute tolerance below the expected integral magnitude.
+def _tolerance(magnitude: float) -> QuadratureConfig:
+    """Default tolerances, with the absolute one pinned below the expected magnitude.
 
     Distributions whose support sits at extreme scales (say 1e-26) would
     otherwise be 'converged' the moment the error dips under the default
     absolute tolerance, long before any relative accuracy is reached.
     """
-    if cfg is None:
-        from .numerics import default_quadrature_config
-        cfg = default_quadrature_config()
-    if not (magnitude > 0.0 and math.isfinite(magnitude)):
-        return cfg
+    cfg = QuadratureConfig()
     target = cfg.rel_tol * magnitude * 1e-2
-    if target >= cfg.abs_tol:
-        return cfg
-    return QuadratureConfig(rel_tol=cfg.rel_tol, abs_tol=target,
-                            max_subdivisions=cfg.max_subdivisions)
+    if 0.0 < magnitude < math.inf and target < cfg.abs_tol:
+        return QuadratureConfig(abs_tol=target)
+    return cfg
 
 
-def raw_moment(p: EgwgParams, r: int, cfg: QuadratureConfig | None = None) -> float:
+def raw_moment(p: EgwgParams, r: int) -> float:
     """E[X^r] as the integral of x^r f(x) over the positive half-line.
 
     Finite for every valid parameter vector (the right tail decays doubly
@@ -70,16 +65,16 @@ def raw_moment(p: EgwgParams, r: int, cfg: QuadratureConfig | None = None) -> fl
     def f(x: float) -> float:
         return x ** r * float(dist.pdf(p, x))
 
-    return integrate(f, 0.0, math.inf, _scaled_cfg(cfg, 0.5 * med ** r), scale=scale)
+    return integrate(f, 0.0, math.inf, _tolerance(0.5 * med ** r), scale=scale)
 
 
-def mttf(p: EgwgParams, cfg: QuadratureConfig | None = None) -> float:
+def mttf(p: EgwgParams) -> float:
     """Mean time to failure: the first raw moment.
 
     The same function serves the repair law, in which case the value is the
     mean time to repair (the laws share one functional form).
     """
-    return raw_moment(p, 1, cfg)
+    return raw_moment(p, 1)
 
 
 @dataclass(frozen=True)
@@ -98,22 +93,18 @@ class RepairableSystem:
             object.__setattr__(self, "means", self.means + (m,))
 
 
-def _means(sys: RepairableSystem, cfg: QuadratureConfig | None) -> tuple:
-    return sys.means if cfg is None else (mttf(sys.failure, cfg), mttf(sys.repair, cfg))
-
-
-def mtbf(sys: RepairableSystem, cfg: QuadratureConfig | None = None) -> float:
+def mtbf(sys: RepairableSystem) -> float:
     """Mean time between failures: MTTF + MTTR."""
-    up, down = _means(sys, cfg)
+    up, down = sys.means
     return up + down
 
 
-def availability(sys: RepairableSystem, cfg: QuadratureConfig | None = None) -> float:
+def availability(sys: RepairableSystem) -> float:
     """Steady-state availability MTTF / (MTTF + MTTR).
 
     Equals 0.5 exactly when the failure and repair laws coincide.
     """
-    up, down = _means(sys, cfg)
+    up, down = sys.means
     return up / (up + down)
 
 
@@ -122,7 +113,7 @@ def maintainability(repair: EgwgParams, t):
     return dist.cdf(repair, t)
 
 
-def mean_residual_life(p: EgwgParams, t, cfg: QuadratureConfig | None = None):
+def mean_residual_life(p: EgwgParams, t):
     """m(t) = (1 / R(t)) * integral of R over (t, inf); m(0) is the mean.
 
     t may be a scalar (a float is returned) or an array (an array of the same
@@ -149,14 +140,13 @@ def mean_residual_life(p: EgwgParams, t, cfg: QuadratureConfig | None = None):
             # already beyond the cap: the increasing-hazard bound is the estimate
             out.flat[i] = 1.0 / float(dist.hazard(p, ti))
             continue
-        local = _scaled_cfg(cfg, rt * (x_hi - ti))
-        body = integrate(lambda x: float(dist.survival(p, x)), ti, x_hi, local)
+        body = integrate(lambda x: float(dist.survival(p, x)), ti, x_hi,
+                         _tolerance(rt * (x_hi - ti)))
         out.flat[i] = (body + tail) / rt
     return float(out) if ts.ndim == 0 else out
 
 
-def mean_past_life(p: EgwgParams, t: float,
-                   cfg: QuadratureConfig | None = None) -> float:
+def mean_past_life(p: EgwgParams, t: float) -> float:
     """P(t) = (1 / F(t)) * integral of F over (0, t); satisfies 0 < P(t) < t."""
     t = float(t)
     if t <= 0.0:
@@ -164,7 +154,7 @@ def mean_past_life(p: EgwgParams, t: float,
     ft = dist.cdf(p, t)
     if ft <= 0.0:
         raise LeftTailUnderflowError(f"CDF underflowed at t = {t!r}")
-    body = integrate(lambda x: float(dist.cdf(p, x)), 0.0, t, _scaled_cfg(cfg, ft * t))
+    body = integrate(lambda x: float(dist.cdf(p, x)), 0.0, t, _tolerance(ft * t))
     return body / ft
 
 

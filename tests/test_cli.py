@@ -238,9 +238,9 @@ class TestReliabilityCommand:
     def test_each_mean_computed_once(self, capsys, monkeypatch):
         calls = []
 
-        def counted(p, cfg=None):
+        def counted(p):
             calls.append(p)
-            return mttf(p, cfg)
+            return mttf(p)
 
         monkeypatch.setattr(reliability, "mttf", counted)
         code, out, _ = run(capsys, "reliability", *PRINTED_FLAGS,

@@ -18,6 +18,7 @@ from egwgd import (
     log_survival,
     median,
     mode,
+    order_stat_pdf,
     pdf,
     quantile,
     reversed_hazard,
@@ -29,6 +30,7 @@ from egwgd.distribution import _batch_quantile, _log_target
 from egwgd.exceptions import (
     BracketError,
     DomainError,
+    EgwgError,
     InvalidParametersError,
     LeftTailUnderflowError,
     TailOverflowError,
@@ -465,6 +467,27 @@ class TestQuantileProperties:
             return
         assert x == _batch_quantile(p, np.array([q]))[0]
         assert np.array_equal(_batch_quantile(p, np.full(9, q)), np.full(9, x))
+
+    @pytest.mark.parametrize("fn", [
+        cdf, pdf, log_cdf, log_pdf, survival, log_survival, hazard, reversed_hazard,
+        lambda p, x: order_stat_pdf(p, 2, 5, x)],
+        ids=["cdf", "pdf", "log_cdf", "log_pdf", "survival", "log_survival", "hazard",
+             "reversed_hazard", "order_stat_pdf"])
+    @given(p=BOX_LAWS, q=PROBABILITIES)
+    def test_scalar_evaluator_is_the_batch_element(self, fn, p, q):
+        try:
+            x = quantile(p, q)
+        except BracketError:
+            return
+        try:
+            one = fn(p, x)
+        except EgwgError as err:
+            with pytest.raises(type(err)):
+                fn(p, np.array([x]))
+            return
+        batch = fn(p, np.array([x]))
+        assert type(one) is float and batch.shape == (1,)
+        assert np.float64(one).tobytes() == batch[0].tobytes()
 
     @given(BOX_LAWS, st.integers(0, 2 ** 32 - 1))
     def test_sample_bits_repeat(self, p, seed):

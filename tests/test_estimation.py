@@ -457,12 +457,6 @@ class TestObservedInformation:
         ev = np.linalg.eigvalsh(info)
         assert np.all(ev >= -1e-6 * np.trace(info))
 
-    def test_step_halving_stability(self, aarset_data):
-        i1 = observed_information(PRINTED_MLE, aarset_data, step_scale=1e-4)
-        i2 = observed_information(PRINTED_MLE, aarset_data, step_scale=5e-5)
-        scale = np.maximum(np.abs(i2), 1e-12)
-        assert np.max(np.abs(i1 - i2) / scale) < 5e-4
-
     def test_interior_requirement(self, aarset_data):
         with pytest.raises(InvalidParametersError):
             observed_information(EgwgParams(1.0, 0.0, 1.0, 1.0, 1.0), aarset_data)

@@ -13,8 +13,6 @@ from egwgd.exceptions import (
 )
 from egwgd.numerics import (
     QuadratureConfig,
-    RootConfig,
-    default_quadrature_config,
     find_root_increasing,
     integrate,
     numerical_hessian,
@@ -36,18 +34,6 @@ class TestConfigs:
             QuadratureConfig(abs_tol=-1e-3)
         with pytest.raises(ValueError):
             QuadratureConfig(max_subdivisions=0)
-
-    def test_root_invariants(self):
-        with pytest.raises(ValueError):
-            RootConfig(x_tol=0.0)
-        with pytest.raises(ValueError):
-            RootConfig(max_iterations=0)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("EGWG_QUAD_RTOL", "1e-6")
-        assert default_quadrature_config().rel_tol == 1e-6
-        monkeypatch.delenv("EGWG_QUAD_RTOL")
-        assert default_quadrature_config().rel_tol == 1e-10
 
 
 class TestIntegrate:

@@ -25,7 +25,7 @@ from egwgd import (
     survival,
 )
 from egwgd.exceptions import DomainError
-from egwgd.numerics import QuadratureConfig, RootConfig
+from egwgd.numerics import QuadratureConfig
 from conftest import PRINTED_MLE, random_params
 
 GOMPERTZ = EgwgParams(1.0, 0.0, 1.0, 1.0, 1.0)
@@ -75,7 +75,9 @@ class TestMttf:
 
     def test_stable_under_tolerance_tightening(self):
         loose = mttf(PRINTED_MLE)
-        tight = mttf(PRINTED_MLE, QuadratureConfig(rel_tol=1e-11))
+        tight = integrate(lambda x: x * pdf(PRINTED_MLE, x), 0.0, math.inf,
+                          QuadratureConfig(rel_tol=1e-11, abs_tol=0.0),
+                          scale=median(PRINTED_MLE))
         assert abs(loose - tight) / tight < 1e-6
 
 
@@ -105,8 +107,7 @@ class TestMtbfAvailability:
         # scaling its rate parameter (mean is strictly decreasing in a)
         target = mttf(GOMPERTZ) / 3.0
         a_star = find_root_increasing(
-            lambda a: -mttf(EgwgParams(a, 0.0, 1.0, 1.0, 1.0)), -target,
-            RootConfig(x_tol=1e-10))
+            lambda a: -mttf(EgwgParams(a, 0.0, 1.0, 1.0, 1.0)), -target)
         repair = EgwgParams(a_star, 0.0, 1.0, 1.0, 1.0)
         sysm = RepairableSystem(failure=GOMPERTZ, repair=repair)
         assert_allclose(availability(sysm), 0.75, atol=1e-6)
