@@ -99,9 +99,8 @@ def _add_param_flags(sp, prefix: str = "", required: bool = True):
                         help=f"parameter {name}" + (f" of the {prefix.rstrip('-')} law" if prefix else ""))
 
 
-def _params_from(args, prefix: str = "") -> EgwgParams:
-    get = lambda name: getattr(args, (prefix + name).replace("-", "_"))
-    return EgwgParams(a=get("a"), b=get("b"), c=get("c"), d=get("d"), theta=get("theta"))
+def _params_from(args) -> EgwgParams:
+    return EgwgParams(a=args.a, b=args.b, c=args.c, d=args.d, theta=args.theta)
 
 
 def _emit(text: str, out_path: str | None):

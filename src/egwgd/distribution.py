@@ -1,10 +1,10 @@
 """Exact evaluation of the five-parameter lifetime distribution.
 
 The family has CDF ``F(x) = [1 - exp(-a x^b (e^{c x^d} - 1))]^theta`` on
-x >= 0.  Everything here is computed through two log-space kernels: the inner
-exponent ``z(x) = a x^b (e^{c x^d} - 1)`` (carried as log z so it never
-underflows) and a stable ``log(1 - e^{-z})``.  All evaluators accept scalars
-or arrays of evaluation points and are pure functions of their inputs.
+x >= 0.  Everything here is computed from one log-space kernel pass, which
+gives the inner exponent ``z(x) = a x^b (e^{c x^d} - 1)`` (carried as log z
+so it never underflows) and a stable ``log(1 - e^{-z})``.  All evaluators
+accept scalars or arrays of points and are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -97,24 +97,12 @@ def _log_expm1(y, logy=None):
     return out
 
 
-def _log1mexp(z, logz):
-    """log(1 - e^{-z}) for z > 0, using log z when z itself underflows."""
-    out = np.empty_like(z)
-    deep = logz < -36.7       # z below 1.1e-16: log(1 - e^{-z}) = log z to 1 ulp
-    small = (~deep) & (z <= _LN2)
-    big = (~deep) & (z > _LN2)
-    out[deep] = logz[deep]
-    out[small] = np.log(-np.expm1(-z[small]))
-    out[big] = np.log1p(-np.exp(-z[big]))
-    return out
-
-
 def _inner(a: float, b: float, c: float, d: float, x):
-    """Return (log x, s = x^d, c*s, log g, log z, z) for x > 0, all elementwise.
+    """Return (log x, s = x^d, c*s, log g, log z, z, log(1 - e^{-z})) for x > 0, elementwise.
 
     g = x^b (e^{c s} - 1) and z = a g, summed as log z = log a + log g.
     Where c*s underflows to 0, log(e^{c s} - 1) is carried as log c + d log x,
-    so log z stays finite wherever it is representable.
+    so log z stays finite wherever it is representable, as does log(1 - e^{-z}).
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", divide="ignore"):
@@ -127,7 +115,14 @@ def _inner(a: float, b: float, c: float, d: float, x):
             lg = np.where(under, b * lnx + (math.log(c) + d * lnx), lg)
         logz = math.log(a) + lg
         z = np.exp(logz)
-    return lnx, s, cs, lg, logz, z
+        lnP = np.empty_like(z)
+        deep = logz < -36.7       # z below 1.1e-16: log(1 - e^{-z}) = log z to 1 ulp
+        small = (~deep) & (z <= _LN2)
+        big = (~deep) & (z > _LN2)
+        lnP[deep] = logz[deep]
+        lnP[small] = np.log(-np.expm1(-z[small]))
+        lnP[big] = np.log1p(-np.exp(-z[big]))
+    return lnx, s, cs, lg, logz, z, lnP
 
 
 def _as_x_array(x, *, allow_zero: bool) -> tuple[np.ndarray, bool]:
@@ -156,8 +151,7 @@ def _log_F(p: EgwgParams, x) -> tuple[np.ndarray, bool]:
     xs, scalar = _as_x_array(x, allow_zero=True)
     out = np.full(xs.shape, -np.inf)
     pos = xs > 0.0
-    _, _, _, _, logz, z = _inner(p.a, p.b, p.c, p.d, xs[pos])
-    out[pos] = p.theta * _log1mexp(z, logz)
+    out[pos] = p.theta * _inner(p.a, p.b, p.c, p.d, xs[pos])[6]
     return out, scalar
 
 
@@ -185,17 +179,16 @@ def survival(p: EgwgParams, x):
     return _ret(-np.expm1(lf), scalar)
 
 
-def _log_density(p: EgwgParams, x) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(log f(x), unclamped log F(x), scalar flag) for x > 0, from one kernel pass.
+def _log_f(p: EgwgParams, xs: np.ndarray, k: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(log f, unclamped log F) at the points xs > 0, given their kernel k = _inner(..., xs).
 
     Uses the rewrite a*b*x^{b-1}*(1 + (c d / b) x^d - e^{-c x^d})
     = a x^{b-1} * [b (1 - e^{-c x^d}) + c d x^d], which evaluates the b -> 0
     limit directly instead of producing 0 * inf.  For theta < 1, where f
-    blows up as x -> 0+, log f is clamped at the point where F = 1e-300.
+    blows up as x -> 0+, log f is clamped at the point where F = 1e-300;
+    only then is the kernel evaluated a second time, at the clamped points.
     """
-    xs, scalar = _as_x_array(x, allow_zero=False)
-    lnx, s, cs, _, logz, z = _inner(p.a, p.b, p.c, p.d, xs)
-    l1mez = _log1mexp(z, logz)
+    lnx, s, cs, _, _, z, l1mez = k
     log_F = p.theta * l1mez
     if p.theta < 1.0 and np.any(log_F < _LOG_TINY):
         try:
@@ -203,8 +196,7 @@ def _log_density(p: EgwgParams, x) -> tuple[np.ndarray, np.ndarray, bool]:
         except BracketError:   # no clamp below the float range
             pass
         else:
-            lnx, s, cs, _, logz, z = _inner(p.a, p.b, p.c, p.d, xs)
-            l1mez = _log1mexp(z, logz)
+            lnx, s, cs, _, _, z, l1mez = _inner(p.a, p.b, p.c, p.d, xs)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         logw = np.log(p.b * (-np.expm1(-cs)) + p.c * p.d * s)
         under = cs == 0.0
@@ -214,7 +206,13 @@ def _log_density(p: EgwgParams, x) -> tuple[np.ndarray, np.ndarray, bool]:
         out = (math.log(p.a) + math.log(p.theta) + (p.b - 1.0) * lnx
                + cs - z + logw + (p.theta - 1.0) * l1mez)
     out[np.isnan(out)] = -np.inf   # deep right tail: cs - z -> -inf, not inf - inf
-    return np.minimum(out, _LOG_MAX), log_F, scalar
+    return np.minimum(out, _LOG_MAX), log_F
+
+
+def _log_density(p: EgwgParams, x) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(log f(x), unclamped log F(x), scalar flag) for x > 0, from one kernel pass (see _log_f)."""
+    xs, scalar = _as_x_array(x, allow_zero=False)
+    return *_log_f(p, xs, _inner(p.a, p.b, p.c, p.d, xs)), scalar
 
 
 def log_pdf(p: EgwgParams, x):
@@ -350,14 +348,15 @@ def median(p: EgwgParams) -> float:
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MODE_GRID = 512   # points in mode's log-spaced scan
+_GOLDEN_ITERS = 200   # 0.618^200 = 1e-42: the 1e-14 width test stops the search first
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 200) -> float:
+def _golden_max(fn, lo: float, hi: float) -> float:
     """Golden-section maximiser of a unimodal fn on [lo, hi]."""
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if hi - lo <= 1e-14 * (abs(lo) + abs(hi)):
             break
         if f1 < f2:

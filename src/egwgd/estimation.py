@@ -3,9 +3,11 @@
 The log-likelihood of a complete sample is the sum of per-point log
 densities.  The exponentiation parameter theta always has a closed-form
 conditional MLE given (a, b, c, d), so the search runs over the four
-remaining parameters in log space, with theta profiled out at every
-evaluation.  The analytic gradient is derived directly from the
-log-likelihood; a finite-difference property test arbitrates it.
+remaining parameters in log space.  Each evaluation makes one pass of the
+distribution's inner kernel over the data, and theta-hat, the log-likelihood
+and its analytic gradient are all read from it.  The gradient is derived
+directly from the log-likelihood; a finite-difference property test
+arbitrates it.
 
 The likelihood of this family is unbounded along degenerate spike ridges
 (b, d large) and improves toward the c -> 0 boundary closure on some data
@@ -178,13 +180,17 @@ def loglik_grad(p: EgwgParams, data: Dataset) -> np.ndarray:
     if p.b <= 0.0:
         raise InvalidParametersError("gradient requires b > 0")
     x = data.values
+    return _grad(p, x, dist._inner(p.a, p.b, p.c, p.d, x))
+
+
+def _grad(p: EgwgParams, x: np.ndarray, k: tuple) -> np.ndarray:
+    """loglik_grad at p from the kernel k = dist._inner(a, b, c, d, x)."""
     n = x.size
     a, b, c, d, th = p.a, p.b, p.c, p.d, p.theta
     with np.errstate(all="ignore"):
-        lnx, s, cs, lg, logz, z = dist._inner(a, b, c, d, x)
+        lnx, s, cs, lg, logz, z, lnP = k
         log_s = d * lnx
         lem1z = np.where(logz < -36.0, logz, dist._log_expm1(np.maximum(z, 1e-300)))
-        lnP = dist._log1mexp(z, logz)
         W = (c * d / b) * s - np.expm1(-cs)   # 1 + (c d / b) s - e^{-cs}, no cancellation
         g = np.exp(lg)                       # x^b (e^{cs} - 1)
         t_g = np.exp(lg - lem1z)             # g / (e^z - 1)
@@ -224,12 +230,13 @@ def profile_theta(a: float, b: float, c: float, d: float, data: Dataset) -> floa
     if min(a, b, c, d) <= 0.0:
         raise InvalidParametersError("profile_theta requires a, b, c, d > 0")
     with np.errstate(all="ignore"):
-        _, _, _, _, logz, z = dist._inner(a, b, c, d, data.values)
-        lnP = dist._log1mexp(z, logz)
+        return _theta_hat(data.n, dist._inner(a, b, c, d, data.values)[6])
+
+
+def _theta_hat(n: int, lnP: np.ndarray) -> float:
+    """profile_theta from the kernel's log(1 - e^{-z}) column."""
     ssum = float(np.sum(lnP))
-    if not math.isfinite(ssum) or ssum >= 0.0:
-        raise LeftTailUnderflowError("profile sum degenerate under floating point")
-    theta = -data.n / ssum
+    theta = -n / ssum if -math.inf < ssum < 0.0 else math.inf
     if not math.isfinite(theta):
         raise LeftTailUnderflowError("profile sum degenerate under floating point")
     return theta
@@ -253,32 +260,27 @@ class _Objective:
         self.data = data
         self.n_evals = 0
 
-    def _evaluate(self, u: np.ndarray):
-        """(f, p): the value at u and the parameters it was evaluated at."""
-        self.n_evals += 1
-        a, b, c, d = np.exp(u)
-        try:
-            p = EgwgParams(a, b, c, d, profile_theta(a, b, c, d, self.data))
-        except LeftTailUnderflowError:
-            return _BIG, None
-        ll = loglik(p, self.data)
-        return (-ll if math.isfinite(ll) else _BIG), p
-
     def value(self, u: np.ndarray) -> float:
-        return self._evaluate(u)[0]
+        return self.value_grad(u)[0]
 
     def value_grad(self, u: np.ndarray):
-        f, p = self._evaluate(u)
-        if f == _BIG:   # the sentinel has no slope; a huge finite -L keeps its own
-            return f, np.zeros(4)
+        """(f, df/du) from one dist._inner pass (two where log_pdf's theta < 1 clamp acts)."""
+        self.n_evals += 1
+        a, b, c, d = np.exp(u)
+        x = self.data.values
         with np.errstate(all="ignore"):
-            grad = loglik_grad(p, self.data)[:4]
-        # envelope theorem: dL/dtheta = 0 at the profiled theta, so the
-        # profiled gradient is the partial gradient; chain rule to log space
-        gu = -grad * np.exp(u)
-        if not np.all(np.isfinite(gu)):
-            return f, np.zeros(4)
-        return f, gu
+            k = dist._inner(a, b, c, d, x)
+            try:
+                p = EgwgParams(a, b, c, d, _theta_hat(self.data.n, k[6]))
+            except LeftTailUnderflowError:
+                return _BIG, np.zeros(4)
+            ll = float(np.sum(dist._log_f(p, x, k)[0]))
+            if not math.isfinite(ll):   # the sentinel has no slope; a huge finite -L keeps its own
+                return _BIG, np.zeros(4)
+            # envelope theorem: dL/dtheta = 0 at the profiled theta, so the
+            # profiled gradient is the partial gradient; chain rule to log space
+            gu = -_grad(p, x, k)[:4] * np.exp(u)
+        return -ll, (gu if np.all(np.isfinite(gu)) else np.zeros(4))
 
 
 def _weibull_shape(x: np.ndarray) -> float:

@@ -24,6 +24,7 @@ from egwgd import (
     profile_theta,
     sample,
 )
+from egwgd import distribution as dist
 from egwgd import estimation
 from egwgd.estimation import _BIG, PARAM_ORDER, _anchors, _Objective
 from egwgd.exceptions import (
@@ -51,6 +52,10 @@ AARSET_NEGLOGLIK = 210.91838357686976
 RETRY_SAMPLE = Dataset(sample(
     EgwgParams(0.0006997865945133257, 1.5341700654097878, 0.33513633514187957,
                0.42152009886084396, 0.17155509369597563), 100, 179))
+
+# n = 1000 with one point at 1e-100: large enough for the profiled objective
+# to reach log_pdf's theta < 1 clamp (see TestObjective)
+CLAMP_SAMPLE = Dataset(np.append(sample(EgwgParams(0.5, 1.0, 0.5, 1.0, 1.0), 999, 3), 1e-100))
 
 
 def _spy_stages(monkeypatch):
@@ -247,6 +252,71 @@ class TestProfileTheta:
 
 
 class TestObjective:
+    @staticmethod
+    def count_kernel_passes(monkeypatch):
+        calls = []
+        real = dist._inner
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dist, "_inner", spy)
+        return calls
+
+    @staticmethod
+    def clamp_box_points(seed, count):
+        """u = log(a, b, c, d), uniform in natural units over a corner of the
+        box where, on CLAMP_SAMPLE, theta-hat < 1 and log_pdf's clamp runs."""
+        rng = np.random.default_rng(seed)
+        return np.log(rng.uniform([1e-3, 2.0, 0.01, 2.0], [10.0, 4.0, 5.0, 4.0], (count, 4)))
+
+    @staticmethod
+    def clamp_runs(p, data):
+        with np.errstate(divide="ignore"):
+            return p.theta < 1.0 and np.min(log_cdf(p, data.values)) < math.log(1e-300)
+
+    def test_one_kernel_pass(self, aarset_data, monkeypatch):
+        calls = self.count_kernel_passes(monkeypatch)
+        u = np.log([PRINTED_MLE.a, PRINTED_MLE.b, PRINTED_MLE.c, PRINTED_MLE.d])
+        f, gu = _Objective(aarset_data).value_grad(u)
+        assert len(calls) == 1
+        assert f < _BIG and np.all(gu)
+
+    def test_is_exactly_the_loglik_where_the_clamp_runs(self, monkeypatch):
+        # at the profiled theta every theta * log(1 - e^{-z_i}) >= -n, so only
+        # a sample with n >= 691 can reach log F < log 1e-300
+        obj = _Objective(CLAMP_SAMPLE)
+        calls = self.count_kernel_passes(monkeypatch)
+        clamped = 0
+        for u in self.clamp_box_points(12, 400):
+            calls.clear()
+            f, _ = obj.value_grad(u)
+            passes = len(calls)
+            a, b, c, d = np.exp(u)
+            p = EgwgParams(a, b, c, d, profile_theta(a, b, c, d, CLAMP_SAMPLE))
+            assert f == -loglik(p, CLAMP_SAMPLE)
+            clamp = self.clamp_runs(p, CLAMP_SAMPLE)
+            assert passes == 1 + clamp   # the clamp's own pass at the clamped points
+            clamped += clamp
+        assert clamped >= 200
+
+    def test_gradient_matches_central_differences_on_tiny_x(self):
+        obj = _Objective(CLAMP_SAMPLE)
+        checked = 0
+        for u in self.clamp_box_points(13, 100):
+            f, gu = obj.value_grad(u)
+            a, b, c, d = np.exp(u)
+            p = EgwgParams(a, b, c, d, profile_theta(a, b, c, d, CLAMP_SAMPLE))
+            if f == _BIG or not np.any(gu) or not self.clamp_runs(p, CLAMP_SAMPLE):
+                continue
+            h = 1e-6
+            fd = np.array([(obj.value(u + e) - obj.value(u - e)) / (2.0 * h)
+                           for e in h * np.eye(4)])
+            assert np.max(np.abs(gu - fd)) <= 1e-4 * np.max(np.abs(fd))
+            checked += 1
+        assert checked >= 50
+
     def test_is_exactly_the_profiled_likelihood(self, aarset_data):
         # the fit's cost follows last-bit changes in the objective, so the
         # identity with the public functions is exact, not approximate
