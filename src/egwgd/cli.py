@@ -43,8 +43,6 @@ class CurveGrid:
     """Tabulated (x, pdf, cdf, survival, hazard[, mrl]) rows for export."""
 
     rows: tuple
-    params: EgwgParams
-    grid_spec: tuple   # (lo, hi, count, spacing)
 
     def __post_init__(self):
         xs = [r[0] for r in self.rows]
@@ -84,8 +82,7 @@ def build_curve_grid(p: EgwgParams, lo: float, hi: float, count: int,
 
         columns.append(reliability.mean_residual_life(p, xs))
     rows = [tuple(float(v) for v in row) for row in zip(*columns)]
-    return CurveGrid(rows=tuple(rows), params=p,
-                     grid_spec=(float(lo), float(hi), count, spacing))
+    return CurveGrid(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -79,17 +79,16 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Multistart optimisation settings.
+    """Multistart settings: restart count, interval level and search box.
 
-    ``box`` bounds the (a, b, c, d) search in natural units.  The defaults
-    admit the parameter scales seen in lifetime data spanning several
-    decades while excluding the numerically degenerate spike ridges
-    (b, d -> large) along which the likelihood is unbounded.
+    ``box`` bounds the (a, b, c, d) search in natural units, as four
+    (lo, hi) pairs with 0 < lo < hi < inf.  The defaults admit the
+    parameter scales seen in lifetime data spanning several decades while
+    excluding the numerically degenerate spike ridges (b, d -> large) along
+    which the likelihood is unbounded.
     """
 
     n_restarts: int = 8
-    stationarity_scale: float = 1e-4     # max |grad L| <= scale * max(1, |L|)
-    polish_max_iter: int = 500           # caps each L-BFGS-B run: the first and the retry
     ci_level: float = 0.95
     box: tuple = ((1e-12, 1e4), (1e-3, 4.0), (1e-6, 50.0), (0.05, 4.0))
 
@@ -98,22 +97,13 @@ class FitConfig:
             raise ValueError("n_restarts must be >= 1")
         if not (0.0 < self.ci_level < 1.0):
             raise ValueError("ci_level must be in (0, 1)")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_restarts": self.n_restarts,
-            "stationarity_scale": self.stationarity_scale,
-            "polish_max_iter": self.polish_max_iter,
-            "ci_level": self.ci_level,
-            "box": [list(b) for b in self.box],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FitConfig":
-        kw = dict(d)
-        if "box" in kw:
-            kw["box"] = tuple(tuple(b) for b in kw["box"])
-        return cls(**kw)
+        try:
+            ok = len(self.box) == 4 and all(
+                len(p) == 2 and 0.0 < p[0] < p[1] < math.inf for p in self.box)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError("box must be four (lo, hi) pairs with 0 < lo < hi < inf")
 
 
 @dataclass
@@ -247,6 +237,8 @@ def _theta_hat(n: int, lnP: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 _BIG = 1e13
+_STATIONARITY_SCALE = 1e-4   # converged: max |projected grad| <= scale * max(1, |L|)
+_LBFGSB_MAX_ITER = 500       # caps each L-BFGS-B run: the first and the retry
 
 
 class _Objective:
@@ -336,15 +328,15 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     """Multistart maximum-likelihood fit with theta profiled out.
 
     Each restart runs gradient-based L-BFGS-B, capped at
-    ``polish_max_iter`` iterations.  A terminus counts as converged when
+    ``_LBFGSB_MAX_ITER`` iterations.  A terminus counts as converged when
     its gradient, projected onto the feasible box, satisfies the
-    stationarity check.  Only when the endpoint fails that check, or is
-    worse than the restart's start, does a second L-BFGS-B run start from
-    it, with a fresh curvature memory; the better of the two endpoints is
-    kept, and never one worse than the start.  The best converged terminus
-    wins (ties resolve to the earliest restart).  If no restart converges
-    the best point is returned with converged = False, never a silent
-    success.
+    stationarity check.  Only when the endpoint fails that check does a
+    second L-BFGS-B run start from it, with a fresh curvature memory; the
+    better of the two endpoints is kept.  L-BFGS-B accepts only iterates
+    that pass its sufficient-decrease line search, so no endpoint is worse
+    than its start.  The best converged terminus wins (ties resolve to the
+    earliest restart).  If no restart converges the best point is returned
+    with converged = False, never a silent success.
 
     One DEBUG record per restart goes to the ``egwgd.estimation`` logger:
     the L-BFGS-B evaluation count and message, the endpoint's largest
@@ -362,7 +354,7 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
 
     def lbfgsb(u):
         return minimize(obj.value_grad, u, jac=True, method="L-BFGS-B", bounds=bounds,
-                        options={"maxiter": cfg.polish_max_iter, "ftol": 1e-14, "gtol": 1e-12})
+                        options={"maxiter": _LBFGSB_MAX_ITER, "ftol": 1e-14, "gtol": 1e-12})
 
     def stationarity(u, fu, gu):
         """(max |projected gradient|, whether it passes the stationarity test)."""
@@ -372,25 +364,20 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
         proj[at_lb & (proj > 0.0)] = 0.0   # minimising: outward push is inert
         proj[at_ub & (proj < 0.0)] = 0.0
         pg = float(np.max(np.abs(proj)))
-        return pg, bool(fu < _BIG and pg <= cfg.stationarity_scale * max(1.0, abs(fu)))
+        return pg, bool(fu < _BIG and pg <= _STATIONARITY_SCALE * max(1.0, abs(fu)))
 
     termini = []
     for k, anchor in enumerate(_anchors(x, cfg.n_restarts), start=1):
-        u0 = np.clip(np.log(anchor), lb, ub)
-        f0 = obj.value(u0)
-        r1 = lbfgsb(u0)
+        r1 = lbfgsb(np.clip(np.log(anchor), lb, ub))
         pg1, stat1 = stationarity(r1.x, r1.fun, r1.jac)
         fu, u, stat = r1.fun, r1.x, stat1
-        if stat1 and r1.fun <= f0:
+        if stat1:
             retry = "retry skipped"
         else:
             # one fresh L-BFGS-B run from the endpoint, with no curvature memory
             r2 = lbfgsb(r1.x)
             if r2.fun < fu:
                 fu, u, stat = r2.fun, r2.x, stationarity(r2.x, r2.fun, r2.jac)[1]
-            if fu > f0:            # never accept a terminus worse than its start
-                u, fu = u0, f0
-                stat = stationarity(u, fu, obj.value_grad(u)[1])[1]
             retry = f"retry ran: nfev={r2.nfev} ({r2.message})"
         _log.debug("restart %d: L-BFGS-B nfev=%d (%s), max projected gradient %.3g; %s",
                    k, r1.nfev, r1.message, pg1, retry)

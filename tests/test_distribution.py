@@ -407,15 +407,14 @@ def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
-# the fit's search box with theta in [0.05, 20], and the b = 0 sub-family
-BOX_LAWS = st.builds(
-    EgwgParams,
-    a=_log_uniform(*BOX[0]),
-    b=st.one_of(st.just(0.0), _log_uniform(*BOX[1])),
-    c=_log_uniform(*BOX[2]),
-    d=_log_uniform(*BOX[3]),
-    theta=_log_uniform(0.05, 20.0),
-)
+def _box_laws(b):
+    """Laws log-uniform in the fit's search box, theta in [0.05, 20], b drawn from b."""
+    return st.builds(EgwgParams, a=_log_uniform(*BOX[0]), b=b, c=_log_uniform(*BOX[2]),
+                     d=_log_uniform(*BOX[3]), theta=_log_uniform(0.05, 20.0))
+
+
+# the fit's search box and the b = 0 sub-family
+BOX_LAWS = _box_laws(st.one_of(st.just(0.0), _log_uniform(*BOX[1])))
 PROBABILITIES = st.one_of(
     st.floats(0.0, 1.0, exclude_max=True),
     st.sampled_from([5e-324, 1e-300, 1e-12, 1.0 - 1e-12, 1.0 - 2.0 ** -53]))
@@ -509,6 +508,43 @@ class TestQuantileProperties:
             except BracketError:
                 return
         assert g.call_count - 1 <= distribution._NEWTON_MAX_ITER // 2
+
+
+# the fit's search box itself (b > 0), evaluated at quantiles from the far
+# left tail to the far right one
+FIT_BOX_LAWS = _box_laws(_log_uniform(*BOX[1]))
+BOX_QUANTILES = np.array([1e-12, 1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-6])
+
+
+def _box_points(p):
+    """The law's BOX_QUANTILES points, or None where the quantile has no bracket."""
+    try:
+        return _batch_quantile(p, BOX_QUANTILES)
+    except BracketError:
+        return None
+
+
+class TestBoxProperties:
+    @given(FIT_BOX_LAWS)
+    def test_log_pdf_is_finite(self, p):
+        xs = _box_points(p)
+        if xs is not None:
+            assert np.all(np.isfinite(log_pdf(p, xs)))
+
+    @given(FIT_BOX_LAWS)
+    def test_cdf_plus_survival_is_one(self, p):
+        xs = _box_points(p)
+        if xs is not None:
+            assert np.max(np.abs(cdf(p, xs) + survival(p, xs) - 1.0)) <= 4.5e-16
+
+    @given(FIT_BOX_LAWS)
+    def test_density_is_continuous_at_b_zero(self, p):
+        xs = _box_points(p)
+        if xs is None:
+            return
+        at_zero = log_pdf(EgwgParams(p.a, 0.0, p.c, p.d, p.theta), xs)
+        near_zero = log_pdf(EgwgParams(p.a, 1e-12, p.c, p.d, p.theta), xs)
+        assert np.all(np.abs(near_zero - at_zero) <= 1e-8 * np.maximum(1.0, np.abs(at_zero)))
 
 
 class TestMedian:

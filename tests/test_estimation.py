@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -374,6 +375,30 @@ class TestObjective:
         assert np.max(np.abs(gu - fd)) <= 1e-4 * np.max(np.abs(fd))
 
 
+class TestFitConfig:
+    def test_fields_are_the_three_callers_set(self):
+        assert [f.name for f in fields(FitConfig)] == ["n_restarts", "ci_level", "box"]
+
+    @pytest.mark.parametrize("box", [
+        ((1e-12, 1e4), (-1.0, 4.0), (1e-6, 50.0), (0.05, 4.0)),
+        ((1e-12, 1e4), (1e-3, math.nan), (1e-6, 50.0), (0.05, 4.0)),
+        ((1e-12, 1e4), (1e-3, 4.0), (1e-6, 50.0)),
+        ((1e-12, 1e4), (4.0, 1e-3), (1e-6, 50.0), (0.05, 4.0)),
+        ((1e-12, 1e4), (1e-3, 1e-3), (1e-6, 50.0), (0.05, 4.0)),
+        ((1e-12, math.inf), (1e-3, 4.0), (1e-6, 50.0), (0.05, 4.0)),
+        ((1e-12, 1e4), (1e-3, 4.0, 8.0), (1e-6, 50.0), (0.05, 4.0)),
+        ((1e-12, 1e4), 4.0, (1e-6, 50.0), (0.05, 4.0)),
+    ], ids=["negative-lo", "nan-hi", "three-pairs", "lo-above-hi", "lo-equals-hi",
+            "infinite-hi", "triple", "scalar"])
+    def test_box_must_be_four_positive_finite_intervals(self, box):
+        with pytest.raises(ValueError, match="box"):
+            FitConfig(box=box)
+
+    def test_a_narrower_box_is_accepted(self):
+        box = ((1e-6, 1.0), (0.01, 2.0), (1e-3, 5.0), (0.1, 2.0))
+        assert FitConfig(box=box).box == box
+
+
 class TestFit:
     def test_aarset_beats_published_likelihood(self, aarset_egwgd_fit):
         assert -aarset_egwgd_fit.loglik <= 229.5
@@ -411,14 +436,14 @@ class TestFit:
         obj = _Objective(RETRY_SAMPLE)
         lo = np.log([b[0] for b in cfg.box])
         hi = np.log([b[1] for b in cfg.box])
-        for anchor, (r1, r2) in zip(_anchors(RETRY_SAMPLE.values, cfg.n_restarts), restarts):
-            f0 = obj.value(np.clip(np.log(anchor), lo, hi))
+        scale = estimation._STATIONARITY_SCALE
+        for r1, r2 in restarts:
             _, gu = obj.value_grad(r1.x)
             inert = ((np.isclose(r1.x, lo, rtol=0.0, atol=1e-12) & (gu > 0.0))
                      | (np.isclose(r1.x, hi, rtol=0.0, atol=1e-12) & (gu < 0.0)))
             pg = np.max(np.abs(gu[~inert]), initial=0.0)
-            stationary = r1.fun < _BIG and pg <= cfg.stationarity_scale * max(1.0, abs(r1.fun))
-            assert (r2 is not None) == (not stationary or r1.fun > f0)
+            stationary = r1.fun < _BIG and pg <= scale * max(1.0, abs(r1.fun))
+            assert (r2 is not None) == (not stationary)
         # some restarts need the retry and some do not
         assert 0 < sum(r2 is not None for _, r2 in restarts) < cfg.n_restarts
 
@@ -429,12 +454,32 @@ class TestFit:
         assert abs(res.loglik + 307.88457560264146) <= 1e-9
 
     def test_short_lbfgsb_retries_everywhere(self, aarset_data, monkeypatch):
+        monkeypatch.setattr(estimation, "_LBFGSB_MAX_ITER", 1)
         calls = _spy_stages(monkeypatch)
-        res = fit(aarset_data, FitConfig(polish_max_iter=1))
+        res = fit(aarset_data)
         restarts = _by_restart(calls)
         assert len(restarts) == 8
         assert all(r2 is not None for _, r2 in restarts)
         assert not res.converged   # one iteration per run reaches no stationary point
+
+    def test_n_evals_counts_only_lbfgsb_evaluations(self, aarset_data, monkeypatch):
+        calls = _spy_stages(monkeypatch)
+        res = fit(aarset_data)
+        assert res.n_evals == sum(r.nfev for _, r in calls)
+
+    @pytest.mark.parametrize("data, max_iter", [
+        (Dataset(AARSET), None), (RETRY_SAMPLE, None), (Dataset(AARSET), 1)],
+        ids=["aarset", "retry-sample", "aarset-one-iteration"])
+    def test_no_lbfgsb_run_ends_above_its_start(self, data, max_iter, monkeypatch):
+        # L-BFGS-B keeps only iterates that pass its sufficient-decrease line
+        # search, so fit needs no guard against an endpoint worse than its start
+        if max_iter is not None:
+            monkeypatch.setattr(estimation, "_LBFGSB_MAX_ITER", max_iter)
+        calls = _spy_stages(monkeypatch)
+        fit(data)
+        assert calls
+        for x0, r in calls:
+            assert r.fun <= _Objective(data).value(x0)
 
     def test_debug_record_per_restart(self, monkeypatch, caplog):
         cfg = FitConfig()
@@ -603,8 +648,3 @@ class TestSerialization:
         assert back["covariance"]["order"] == ["a", "b", "c", "d", "theta"]
         assert len(back["covariance"]["values"]) == 25
         assert EgwgParams.from_dict(back["params"]) == aarset_egwgd_fit.params
-
-    def test_fit_config_round_trip(self):
-        cfg = FitConfig(n_restarts=4, ci_level=0.9)
-        back = FitConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
-        assert back == cfg
