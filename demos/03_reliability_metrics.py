@@ -42,7 +42,7 @@ def main():
     # E[X] three ways: x f(x) integral, survival integral, MRL at 0
     med = median(FAILURE)
     e1 = raw_moment(FAILURE, 1)
-    e2 = integrate(lambda x: float(survival(FAILURE, x)), 0.0, np.inf, scale=med)
+    e2 = integrate(lambda x: survival(FAILURE, x), 0.0, np.inf, scale=med)
     e3 = mean_residual_life(FAILURE, 0.0)
     print(f"\nE[X] by x*f quadrature : {e1:.8f}")
     print(f"E[X] by survival tail  : {e2:.8f}")

@@ -252,9 +252,6 @@ class _Objective:
         self.data = data
         self.n_evals = 0
 
-    def value(self, u: np.ndarray) -> float:
-        return self.value_grad(u)[0]
-
     def value_grad(self, u: np.ndarray):
         """(f, df/du) from one dist._inner pass (two where log_pdf's theta < 1 clamp acts)."""
         self.n_evals += 1

@@ -2,10 +2,13 @@
 
 Adaptive quadrature on finite and semi-infinite intervals, bracketed root
 finding for strictly monotone functions, and finite-difference Hessians.
-The quadrature and root-finding engines are QUADPACK (``scipy.integrate.quad``)
-and Brent's method (``scipy.optimize.brentq``), each imported inside the
-function that calls it, so importing this module loads no scipy; this module
-owns the interval transformation, bracketing, error policy and stencil logic.
+The quadrature engine is global-adaptive Gauss-Kronrod G10/K21 in numpy,
+the rule and error estimate of QUADPACK's qk21; its integrands take and
+return arrays, and it raises typed errors instead of returning an estimate
+whose error bound misses its tolerance.  Root finding closes its bracket with Brent's
+method (``scipy.optimize.brentq``), imported inside the function that calls
+it, so importing this module loads no scipy; this module owns the interval
+transformation, bracketing, error policy and stencil logic.
 """
 
 from __future__ import annotations
@@ -52,8 +55,67 @@ class QuadratureConfig:
             raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
 
 
+# Gauss-Kronrod G10/K21, the rule of QUADPACK's qk21 (Piessens et al.,
+# QUADPACK, Springer 1983): the 21 Kronrod abscissae on [-1, 1], whose
+# odd-indexed entries are the 10 Gauss-Legendre points, and both weight sets.
+_GK21_X = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+    -0.148874338981631210884826001129720, -0.294392862701460198131126603103866,
+    -0.433395394129247190799265943165784, -0.562757134668604683339000099272694,
+    -0.679409568299024406234327365114874, -0.780817726586416897063717578345042,
+    -0.865063366688984510732096688423493, -0.930157491355708226001207180059508,
+    -0.973906528517171720077964012084452, -0.995657163025808080735527280689003])
+_GK21_WK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+    0.147739104901338491374841515972068, 0.142775938577060080797094273138717,
+    0.134709217311473325928054001771707, 0.123491976262065851077958109831074,
+    0.109387158802297641899210590325805, 0.093125454583697605535065465083366,
+    0.075039674810919952767043140916190, 0.054755896574351996031381300244580,
+    0.032558162307964727478818972459390, 0.011694638867371874278064396062192])
+_G10_W = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338, 0.295524224714752870173892994651338,
+    0.269266719309996355091226921569469, 0.219086362515982043995534934228163,
+    0.149451349150580593145776339657697, 0.066671344308688137593568809893332])
+_GK21_WG = np.zeros(21)
+_GK21_WG[1::2] = _G10_W
+_EPS50 = 50.0 * np.finfo(float).eps
+_UFLOW = np.finfo(float).tiny
+
+
+def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
+    """K21 estimates and QUADPACK error estimates on the intervals [lo_i, hi_i].
+
+    The 21 nodes of every interval go to ``f`` in one call.
+    """
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    fv = f((c[:, None] + h[:, None] * _GK21_X).ravel()).reshape(-1, _GK21_X.size)
+    k = fv @ _GK21_WK
+    err = h * np.abs(k - fv @ _GK21_WG)
+    resabs = h * (np.abs(fv) @ _GK21_WK)
+    resasc = h * (np.abs(fv - 0.5 * k[:, None]) @ _GK21_WK)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    # the rule cannot resolve below the round-off of its own sum
+    err = np.where(resabs > _UFLOW / _EPS50, np.maximum(err, _EPS50 * resabs), err)
+    return h * k, err
+
+
 def integrate(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     cfg: QuadratureConfig | None = None,
@@ -62,19 +124,31 @@ def integrate(
 ) -> float:
     """Integrate ``f`` over ``(lo, hi)``; ``hi`` may be ``math.inf``.
 
+    ``f`` takes a 1-d array of points and returns the integrand's values as
+    an array of the same shape.  The engine is global-adaptive Gauss-Kronrod
+    G10/K21: each round bisects the intervals with the largest error
+    estimates, largest first, until the estimates left unsplit sum to at most
+    half the tolerance, and evaluates the 21 nodes of all new intervals in
+    one call of ``f``.  The error estimate of an interval is QUADPACK's
+    ``resasc * min(1, (200 |K21 - G10| / resasc)^1.5)``, floored at 50 ulp of
+    the rule's absolute sum.  The result is returned once the estimates sum
+    to at most ``max(abs_tol, rel_tol * |I|)``.
+
     A semi-infinite upper limit is mapped onto the unit interval through
-    ``x = lo + scale * u / (1 - u)``; ``scale`` should be a characteristic
-    width of the integrand (it changes only convergence speed, never the
-    value).  Integrable endpoint singularities are handled by the adaptive
-    engine's extrapolation.
+    ``x = lo + scale * u / (1 - u)``, integrated in u below u = 1/2 and in
+    ``1 - u`` above, so that nodes keep full precision both near ``lo`` and
+    far out; ``scale`` should be a characteristic width of the integrand
+    (it changes only convergence speed, never the value).  No node lies on
+    an endpoint, and integrable endpoint singularities are resolved by
+    bisection towards them.
 
     Raises:
         InvalidIntegrandError: ``f`` returned NaN inside the interval.
-        QuadratureAccuracyError: subdivision budget exhausted before the
-            tolerances were met; the error carries the best estimate.
+        QuadratureAccuracyError: splitting further would exceed
+            ``max_subdivisions`` intervals, or the estimate is not finite;
+            the error carries the estimate and the error bound.
+        ValueError: ``f`` returned an array of another shape.
     """
-    from scipy.integrate import quad
-
     if cfg is None:
         cfg = QuadratureConfig()
     if not lo < hi:
@@ -82,35 +156,69 @@ def integrate(
     if not (scale > 0.0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive and finite, got {scale}")
 
-    def checked(x: float) -> float:
-        v = f(x)
-        if math.isnan(v):
-            raise InvalidIntegrandError(f"integrand returned NaN at x={x!r}")
+    def checked(x: np.ndarray) -> np.ndarray:
+        v = np.asarray(f(x), dtype=float)
+        if v.shape != x.shape:
+            raise ValueError(f"integrand returned shape {v.shape} for points of shape "
+                             f"{x.shape}; it must return one value per point")
+        bad = np.isnan(v)
+        if bad.any():
+            raise InvalidIntegrandError(
+                f"integrand returned NaN at x={float(x[np.argmax(bad)])!r}")
         return v
 
     if math.isinf(hi):
-        def transformed(u: float) -> float:
-            if u >= 1.0:
-                return 0.0
-            om = 1.0 - u
-            x = lo + scale * u / om
-            if not math.isfinite(x):
-                return 0.0
-            v = checked(x)
-            if v == 0.0:
-                return 0.0  # avoid 0 * inf from the Jacobian near u = 1
-            return v * scale / (om * om)
+        # w = u for u <= 1/2 and w = u - 1 = -s for u > 1/2: the floats are
+        # dense, and the nodes exact, both as x -> lo (w -> 0+) and as
+        # x -> inf (w -> 0-)
+        def transformed(w: np.ndarray) -> np.ndarray:
+            neg = w < 0.0
+            u = np.where(neg, 1.0 + w, w)
+            s = np.where(neg, -w, 1.0 - w)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                x = lo + scale * u / s
+                ok = np.isfinite(x)
+                v = np.zeros_like(w)
+                if ok.all():
+                    v = checked(x)
+                elif ok.any():
+                    v[ok] = checked(x[ok])
+                # v = 0 where the Jacobian is huge: no 0 * inf
+                return np.where(v == 0.0, 0.0, v * scale / (s * s))
 
-        a, b, fn = 0.0, 1.0, transformed
+        lo_i, hi_i, fn = np.array([-0.5, 0.0]), np.array([0.0, 0.5]), transformed
     else:
-        a, b, fn = lo, hi, checked
+        lo_i, hi_i, fn = np.array([float(lo)]), np.array([float(hi)]), checked
 
-    out = quad(fn, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-               limit=cfg.max_subdivisions, full_output=1)
-    if len(out) > 3:
-        raise QuadratureAccuracyError(str(out[3]).replace("\n", " "),
-                                      estimate=out[0], error_bound=out[1])
-    return out[0]
+    res, err = _gk21(fn, lo_i, hi_i)
+    while True:
+        total, bound = float(np.sum(res)), float(np.sum(err))
+        if not (math.isfinite(total) and math.isfinite(bound)):
+            raise QuadratureAccuracyError(
+                f"non-finite quadrature estimate {total!r} on [{lo}, {hi}]",
+                estimate=total, error_bound=bound)
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        if bound <= tol:
+            return total
+        room = cfg.max_subdivisions - res.size
+        if room <= 0:
+            raise QuadratureAccuracyError(
+                f"{cfg.max_subdivisions} subintervals reached with error bound "
+                f"{bound:.3g} above the tolerance {tol:.3g} on [{lo}, {hi}]",
+                estimate=total, error_bound=bound)
+        # largest errors first, until what stays unsplit sums to <= tol / 2
+        order = np.argsort(-err, kind="stable")
+        unsplit = bound - np.cumsum(err[order])
+        n = min(int(np.searchsorted(-unsplit, -0.5 * tol)) + 1, room, order.size)
+        split, keep = order[:n], order[n:]
+        mid = 0.5 * (lo_i[split] + hi_i[split])
+        new_lo = np.concatenate([lo_i[split], mid])
+        new_hi = np.concatenate([mid, hi_i[split]])
+        new_res, new_err = _gk21(fn, new_lo, new_hi)
+        lo_i = np.concatenate([lo_i[keep], new_lo])
+        hi_i = np.concatenate([hi_i[keep], new_hi])
+        res = np.concatenate([res[keep], new_res])
+        err = np.concatenate([err[keep], new_err])
 
 
 _X_OVERFLOW_GUARD = 1e300

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _TAIL_Q = 1.0 - 1e-14   # quadrature domain cap for survival integrals
+_RELATIVE = QuadratureConfig(abs_tol=0.0)
 
 
 def _tolerance(magnitude: float) -> QuadratureConfig:
@@ -62,8 +63,8 @@ def raw_moment(p: EgwgParams, r: int) -> float:
     med = dist.quantile(p, 0.5)
     scale = med * max(1, r)
 
-    def f(x: float) -> float:
-        return x ** r * float(dist.pdf(p, x))
+    def f(x: np.ndarray) -> np.ndarray:
+        return x ** r * dist.pdf(p, x)
 
     return integrate(f, 0.0, math.inf, _tolerance(0.5 * med ** r), scale=scale)
 
@@ -120,7 +121,8 @@ def mean_residual_life(p: EgwgParams, t):
     shape is returned, each element computed as for a scalar).  The
     quadrature domain is capped at the 1 - 1e-14 quantile x_hi; the mass
     beyond is added as R(x_hi)/h(x_hi), a bound that is exact to the same
-    1e-14 order because the hazard increases in the far tail.  Both are
+    1e-14 order where the hazard increases in the far tail.  Where it still
+    decreases at x_hi (small d), the term understates that mass.  Both are
     computed once per call.
     """
     ts = np.asarray(t, dtype=float)
@@ -140,8 +142,9 @@ def mean_residual_life(p: EgwgParams, t):
             # already beyond the cap: the increasing-hazard bound is the estimate
             out.flat[i] = 1.0 / float(dist.hazard(p, ti))
             continue
-        body = integrate(lambda x: float(dist.survival(p, x)), ti, x_hi,
-                         _tolerance(rt * (x_hi - ti)))
+        # R >= R(x_hi) > 0 on [t, x_hi], so a purely relative tolerance is
+        # reachable; rt * (x_hi - t) can overstate the body by orders of magnitude
+        body = integrate(lambda x: dist.survival(p, x), ti, x_hi, _RELATIVE)
         out.flat[i] = (body + tail) / rt
     return float(out) if ts.ndim == 0 else out
 
@@ -154,7 +157,7 @@ def mean_past_life(p: EgwgParams, t: float) -> float:
     ft = dist.cdf(p, t)
     if ft <= 0.0:
         raise LeftTailUnderflowError(f"CDF underflowed at t = {t!r}")
-    body = integrate(lambda x: float(dist.cdf(p, x)), 0.0, t, _tolerance(ft * t))
+    body = integrate(lambda x: dist.cdf(p, x), 0.0, t, _tolerance(ft * t))
     return body / ft
 
 

@@ -1,8 +1,10 @@
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from egwgd import AARSET, Dataset, EgwgParams, FitConfig, fit, loglik, sample
@@ -67,3 +69,43 @@ def random_params(rng):
         d=float(np.exp(rng.uniform(np.log(0.2), np.log(3.0)))),
         theta=float(np.exp(rng.uniform(np.log(0.1), np.log(5.0)))),
     )
+
+
+# laws log-uniform in the fit's search box, theta in [0.05, 20]; BOX_LAWS adds
+# the b = 0 sub-family
+BOX = FitConfig().box
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def _box_laws(b):
+    """Laws log-uniform in the fit's search box, theta in [0.05, 20], b drawn from b."""
+    return st.builds(EgwgParams, a=_log_uniform(*BOX[0]), b=b, c=_log_uniform(*BOX[2]),
+                     d=_log_uniform(*BOX[3]), theta=_log_uniform(0.05, 20.0))
+
+
+BOX_LAWS = _box_laws(st.one_of(st.just(0.0), _log_uniform(*BOX[1])))
+FIT_BOX_LAWS = _box_laws(_log_uniform(*BOX[1]))
+
+
+class OracleError(Exception):
+    """QUADPACK reported that it did not reach the requested accuracy."""
+
+
+def quad(f, lo, hi, *, rel_tol=1e-10, abs_tol=1e-12):
+    """Integral of the scalar function f over (lo, hi) by QUADPACK.
+
+    An oracle that shares nothing with the package's quadrature engine:
+    scipy.integrate.quad (QAGS, or QAGI where a limit is infinite) with the
+    tolerances and the 2000-interval budget of QuadratureConfig's defaults.
+    Raises OracleError where QUADPACK warns.
+    """
+    from scipy.integrate import quad as quadpack
+
+    out = quadpack(lambda x: float(f(x)), lo, hi, epsabs=abs_tol, epsrel=rel_tol,
+                   limit=2000, full_output=1)
+    if len(out) > 3:
+        raise OracleError(str(out[3]).splitlines()[0])
+    return out[0]

@@ -113,7 +113,7 @@ def test_criterion_6_property_suite(aarset_data):
     # density normalisation on 25 randomised parameter sets
     for _ in range(25):
         p = random_params(rng)
-        total = E.integrate(lambda x: float(E.pdf(p, x)), 0.0, math.inf,
+        total = E.integrate(lambda x: E.pdf(p, x), 0.0, math.inf,
                             scale=E.median(p))
         if abs(total - 1.0) >= 1e-7:
             failures.append(f"normalisation {p.to_dict()}: {total}")
@@ -160,7 +160,7 @@ def test_criterion_6_property_suite(aarset_data):
 
     # order-statistic normalisation
     p = EgwgParams(0.5, 0.3, 0.9, 1.1, 1.2)
-    total = E.integrate(lambda x: float(E.order_stat_pdf(p, 3, 5, x)), 0.0, math.inf,
+    total = E.integrate(lambda x: E.order_stat_pdf(p, 3, 5, x), 0.0, math.inf,
                         scale=E.median(p))
     if abs(total - 1.0) >= 1e-7:
         failures.append(f"order-stat normalisation: {total}")

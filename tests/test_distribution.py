@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from egwgd import (
     EgwgParams,
-    FitConfig,
     cdf,
     hazard,
     integrate,
@@ -36,7 +35,7 @@ from egwgd.exceptions import (
     TailOverflowError,
 )
 from egwgd.gof import ks_statistic
-from conftest import random_params
+from conftest import BOX_LAWS, FIT_BOX_LAWS, random_params
 
 GOMPERTZ = EgwgParams(1.0, 0.0, 1.0, 1.0, 1.0)
 LN2 = math.log(2.0)
@@ -153,7 +152,7 @@ class TestCdf:
     def test_printed_mle_matches_density_quadrature(self, printed_mle):
         # independent route: integrate the density up to x = 50
         direct = cdf(printed_mle, 50.0)
-        via_quad = integrate(lambda x: float(pdf(printed_mle, x)), 0.0, 50.0)
+        via_quad = integrate(lambda x: pdf(printed_mle, x), 0.0, 50.0)
         assert abs(direct - via_quad) < 1e-8
 
 
@@ -399,22 +398,7 @@ class TestQuantile:
         assert_allclose(_batch_quantile(p, q), want, rtol=1e-12, atol=0.0)
 
 
-BOX = FitConfig().box
 _GUARD_V = 996 * math.log(2.0)   # quantile roots must lie in x = 2^-996 ... 2^996
-
-
-def _log_uniform(lo, hi):
-    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
-
-
-def _box_laws(b):
-    """Laws log-uniform in the fit's search box, theta in [0.05, 20], b drawn from b."""
-    return st.builds(EgwgParams, a=_log_uniform(*BOX[0]), b=b, c=_log_uniform(*BOX[2]),
-                     d=_log_uniform(*BOX[3]), theta=_log_uniform(0.05, 20.0))
-
-
-# the fit's search box and the b = 0 sub-family
-BOX_LAWS = _box_laws(st.one_of(st.just(0.0), _log_uniform(*BOX[1])))
 PROBABILITIES = st.one_of(
     st.floats(0.0, 1.0, exclude_max=True),
     st.sampled_from([5e-324, 1e-300, 1e-12, 1.0 - 1e-12, 1.0 - 2.0 ** -53]))
@@ -512,7 +496,6 @@ class TestQuantileProperties:
 
 # the fit's search box itself (b > 0), evaluated at quantiles from the far
 # left tail to the far right one
-FIT_BOX_LAWS = _box_laws(_log_uniform(*BOX[1]))
 BOX_QUANTILES = np.array([1e-12, 1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-6])
 
 
@@ -599,7 +582,7 @@ class TestSample:
 
     def test_mean_against_quadrature(self):
         s = sample(GOMPERTZ, 100_000, 1)
-        mean_quad = integrate(lambda x: x * float(pdf(GOMPERTZ, x)), 0.0, math.inf,
+        mean_quad = integrate(lambda x: x * pdf(GOMPERTZ, x), 0.0, math.inf,
                               scale=median(GOMPERTZ))
         se = s.std(ddof=1) / math.sqrt(s.size)
         assert abs(s.mean() - mean_quad) < 3.0 * se
@@ -619,6 +602,6 @@ class TestNormalization:
         rng = np.random.default_rng(22)
         for _ in range(25):
             p = random_params(rng)
-            total = integrate(lambda x: float(pdf(p, x)), 0.0, math.inf,
+            total = integrate(lambda x: pdf(p, x), 0.0, math.inf,
                               scale=median(p))
             assert abs(total - 1.0) < 1e-7

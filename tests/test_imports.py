@@ -75,7 +75,7 @@ def test_import_egwgd_loads_no_scipy():
     assert scipy_modules_after([]) == set()
 
 
-@pytest.mark.parametrize("name", ["eval", "sample", "curves"])
+@pytest.mark.parametrize("name", ["eval", "sample", "curves", "curves_mrl", "reliability"])
 def test_pointwise_commands_load_no_scipy(loaded, name):
     assert loaded[name] == set()
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from egwgd import (
@@ -10,6 +12,7 @@ from egwgd import (
     availability,
     cdf,
     find_root_increasing,
+    hazard,
     integrate,
     maintainability,
     mean_past_life,
@@ -24,9 +27,9 @@ from egwgd import (
     sample,
     survival,
 )
-from egwgd.exceptions import DomainError
-from egwgd.numerics import QuadratureConfig
-from conftest import PRINTED_MLE, random_params
+from egwgd import numerics
+from egwgd.exceptions import BracketError, DomainError, EgwgError
+from conftest import BOX_LAWS, PRINTED_MLE, OracleError, quad, random_params
 
 GOMPERTZ = EgwgParams(1.0, 0.0, 1.0, 1.0, 1.0)
 # e * E1(1), evaluated with 50-digit arithmetic before the build
@@ -34,7 +37,64 @@ GOMPERTZ_MEAN = 0.5963473623231941
 
 
 def survival_integral(p, lo=0.0):
-    return integrate(lambda x: float(survival(p, x)), lo, math.inf, scale=median(p))
+    return quad(lambda x: survival(p, x), lo, math.inf)
+
+
+BREAK_Q = (1e-12, 1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-14)
+
+
+def in_log_x(fn, p):
+    """v -> fn(p, e^v) e^v: the integrand of dx in v = log x (0 where e^v is 0 or inf)."""
+    def g(v):
+        x = math.exp(v) if v < 709.0 else 0.0
+        return fn(p, x) * x if x > 0.0 else 0.0
+    return g
+
+
+def log_x_integral(fn, p, lo, hi):
+    """Integral of fn(p, x) dx over (e^lo, e^hi) by QUADPACK in v = log x.
+
+    The range is cut at the law's BREAK_Q quantiles, so that QUADPACK sees
+    where the mass is even when it spans hundreds of decades.
+    """
+    cuts = [lo]
+    for q in BREAK_Q:
+        try:
+            v = math.log(quantile(p, q))
+        except BracketError:
+            continue
+        if lo < v < hi:
+            cuts.append(v)
+    cuts.append(hi)
+    g = in_log_x(fn, p)
+    return sum(quad(g, a, b, abs_tol=0.0) for a, b in zip(cuts, cuts[1:]))
+
+
+def oracle_mttf(p):
+    """MTTF as the integral of R over (0, inf)."""
+    return log_x_integral(survival, p, -math.inf, math.inf)
+
+
+def oracle(p, t):
+    """(MTTF, MRL(t), MPL(t)) by QUADPACK in v = log x, each None where QUADPACK warns.
+
+    The MRL keeps the package's tail cap x_hi and its tail term.
+    """
+    def attempt(fn):
+        try:
+            return fn()
+        except OracleError:
+            return None
+
+    def mrl():
+        x_hi = quantile(p, 1.0 - 1e-14)
+        body = log_x_integral(survival, p, math.log(t), math.log(x_hi))
+        return (body + survival(p, x_hi) / hazard(p, x_hi)) / survival(p, t)
+
+    def mpl():
+        return log_x_integral(cdf, p, -math.inf, math.log(t)) / cdf(p, t)
+
+    return attempt(lambda: oracle_mttf(p)), attempt(mrl), attempt(mpl)
 
 
 class TestRawMoment:
@@ -75,9 +135,8 @@ class TestMttf:
 
     def test_stable_under_tolerance_tightening(self):
         loose = mttf(PRINTED_MLE)
-        tight = integrate(lambda x: x * pdf(PRINTED_MLE, x), 0.0, math.inf,
-                          QuadratureConfig(rel_tol=1e-11, abs_tol=0.0),
-                          scale=median(PRINTED_MLE))
+        tight = quad(lambda x: x * pdf(PRINTED_MLE, x), 0.0, math.inf,
+                     rel_tol=1e-11, abs_tol=0.0)
         assert abs(loose - tight) / tight < 1e-6
 
 
@@ -220,7 +279,7 @@ class TestOrderStatistics:
     def test_normalisation_middle_order(self):
         rng = np.random.default_rng(47)
         p = random_params(rng)
-        total = integrate(lambda x: float(order_stat_pdf(p, 3, 5, x)), 0.0, math.inf,
+        total = integrate(lambda x: order_stat_pdf(p, 3, 5, x), 0.0, math.inf,
                           scale=median(p))
         assert abs(total - 1.0) < 1e-7
 
@@ -228,7 +287,7 @@ class TestOrderStatistics:
         p = EgwgParams(0.5, 0.3, 0.9, 1.1, 1.2)
         m = median(p)
         avg = np.mean([
-            integrate(lambda x, i=i: x * float(order_stat_pdf(p, i, 5, x)),
+            integrate(lambda x, i=i: x * order_stat_pdf(p, i, 5, x),
                       0.0, math.inf, scale=m)
             for i in range(1, 6)])
         assert abs(avg - raw_moment(p, 1)) / raw_moment(p, 1) < 1e-6
@@ -244,8 +303,8 @@ class TestIntegralIdentities:
         # integral of F over (0, t) = t - integral of R over (0, t)
         p = PRINTED_MLE
         for t in (5.0, 20.0, 60.0):
-            int_f = integrate(lambda x: float(cdf(p, x)), 0.0, t)
-            int_r = integrate(lambda x: float(survival(p, x)), 0.0, t)
+            int_f = quad(lambda x: cdf(p, x), 0.0, t)
+            int_r = quad(lambda x: survival(p, x), 0.0, t)
             assert abs(int_f - (t - int_r)) < 1e-9 * t
 
     def test_mean_three_ways(self):
@@ -271,3 +330,65 @@ class TestRepairableSystem:
     def test_construction_validates_means(self):
         sysm = RepairableSystem(failure=GOMPERTZ, repair=PRINTED_MLE)
         assert sysm.failure == GOMPERTZ
+
+
+class TestGaussKronrodRule:
+    def test_monomials_are_integrated_exactly(self):
+        # K21 is exact up to degree 31 and its embedded G10 up to degree 19
+        lo, hi = np.zeros(1), np.ones(1)
+        for k in range(32):
+            res, _ = numerics._gk21(lambda x: x ** k, lo, hi)
+            assert abs(res[0] - 1.0 / (k + 1)) <= 1e-14, k
+        nodes = 0.5 + 0.5 * numerics._GK21_X
+        for k in range(20):
+            assert abs(0.5 * (numerics._GK21_WG @ nodes ** k) - 1.0 / (k + 1)) <= 1e-14, k
+
+
+class TestRoundOffNearZero:
+    def test_mrl_just_above_zero_matches_the_mean(self):
+        # QUADPACK stops on round-off for this integral over (4.2e-8, x_hi)
+        p = EgwgParams(3.0, 0.1, 0.5, 0.3, 0.6)
+        t = 4.19936e-08
+        got = mean_residual_life(p, t)
+        assert math.isfinite(got)
+        want = (oracle_mttf(p) - quad(lambda x: survival(p, x), 0.0, t)) / survival(p, t)
+        assert abs(got - want) <= 1e-9 * want
+
+
+class TestAgainstQuadpack:
+    def test_corner_of_the_box(self):
+        # QUADPACK on x f(x) over (0, inf) stops on round-off here: the mean
+        # lies five decades above the median
+        p = EgwgParams(1e-12, 1e-3, 1e-6, 0.05, 0.05)
+        m, t = mttf(p), 1.0
+        assert abs(m - oracle_mttf(p)) <= 1e-9 * m
+        mrl, mpl = mean_residual_life(p, t), mean_past_life(p, t)
+        assert abs(t - cdf(p, t) * mpl + survival(p, t) * mrl - m) <= 1e-8 * m
+
+    def test_mrl_whose_body_is_far_below_rt_times_the_range(self):
+        # the mass sits some 50 decades below x_hi = 4.6e-3: an absolute
+        # tolerance scaled by R(t) (x_hi - t) would stop the body 4e-4 short
+        p = EgwgParams(371.91884395338286, 0.0, 0.11846961757499047, 0.06315093118390538,
+                       1.636289236566082)
+        t = 1.1945974523098362e-50
+        want = oracle(p, t)[1]
+        assert abs(mean_residual_life(p, t) - want) <= 1e-9 * want
+
+    @settings(max_examples=40)
+    @given(BOX_LAWS, st.floats(1e-6, 1.0 - 1e-6))
+    @example(EgwgParams(1e-12, 1e-3, 1e-6, 0.05, 0.05), 0.5)
+    def test_agrees_with_the_oracle_or_keeps_the_identity(self, p, q):
+        try:
+            t = quantile(p, q)
+            got = (mttf(p), mean_residual_life(p, t), mean_past_life(p, t))
+        except EgwgError:
+            return
+        want = oracle(p, t)
+        for g, w in zip(got, want):
+            if w is not None:
+                assert abs(g - w) <= 1e-9 * abs(w)
+        if None in want:
+            # mttf = integral of R over (0, t) + R(t) m(t), with the
+            # integral t - F(t) P(t)
+            m, mrl, mpl = got
+            assert abs(t - cdf(p, t) * mpl + survival(p, t) * mrl - m) <= 1e-8 * m

@@ -114,7 +114,7 @@ class TestCompetitorEvaluation:
         for spec in (CompetitorSpec("ed", (0.25,)),
                      CompetitorSpec("ged", (0.3, 1.7)),
                      CompetitorSpec("giw", (0.8, 1.4))):
-            total = integrate(lambda x, s=spec: float(np.exp(competitor_log_pdf(s, x))),
+            total = integrate(lambda x, s=spec: np.exp(competitor_log_pdf(s, x)),
                               0.0, math.inf, scale=5.0)
             assert_allclose(total, 1.0, rtol=1e-8)
 
