@@ -83,45 +83,106 @@ class EgwgParams:
 # log-space kernels
 # ---------------------------------------------------------------------------
 
-def _log_expm1(y, logy=None):
-    """log(e^y - 1) for y > 0, elementwise, without over- or underflow (given log y, at y = 0)."""
+class _Workspace:
+    """Arrays reused by repeated kernel passes over one fixed array x > 0.
+
+    log x is computed once.  Every other array is made on first use under
+    the name its function gives it, and each pass rewrites all of its
+    elements, so no value survives from the pass before.  The kernel
+    functions take ``ws=None`` from the public evaluators and then make
+    fresh arrays.
+    """
+
+    def __init__(self, x: np.ndarray):
+        self.x = x
+        self.lnx = np.log(x)
+        self._arrays = {}
+        self._clamped = None
+
+    def array(self, name: str, dtype=float) -> np.ndarray:
+        """The array called name, shaped like x (made on first use)."""
+        out = self._arrays.get(name)
+        if out is None:
+            out = self._arrays[name] = np.empty(self.x.shape, dtype)
+        return out
+
+    def clamped(self, lo: float) -> "_Workspace":
+        """The workspace over max(x, lo), whose arrays are apart from these."""
+        ws = self._clamped
+        if ws is None:
+            ws = self._clamped = _Workspace(np.maximum(self.x, lo))
+        else:
+            np.maximum(self.x, lo, out=ws.x)
+            np.log(ws.x, out=ws.lnx)
+        return ws
+
+
+def _scratch(ws, name: str, like: np.ndarray, dtype=float) -> np.ndarray:
+    """ws's array called name, or a fresh array shaped like `like` when ws is None."""
+    return np.empty(like.shape, dtype) if ws is None else ws.array(name, dtype)
+
+
+def _power(x: np.ndarray, d, out: np.ndarray) -> np.ndarray:
+    """x ** d written into out; numpy's ``x ** 0.5`` is sqrt, so that exponent is too."""
+    return np.sqrt(x, out=out) if d == 0.5 else np.power(x, d, out=out)
+
+
+def _log_expm1(y, logy=None, out=None, ws=None):
+    """log(e^y - 1) for y > 0, elementwise, without over- or underflow (given log y, at y = 0).
+
+    Written into out (fresh when None); ws lends the scratch arrays.
+    """
     y = np.asarray(y, dtype=float)
-    out = np.empty_like(y)
-    tiny = y < 1e-8
-    big = y > 33.0
-    mid = ~(tiny | big)
+    if out is None:
+        out = np.empty_like(y)
+    m = _scratch(ws, "lem.mask", y, bool)
     with np.errstate(divide="ignore"):
-        out[tiny] = (np.log(y[tiny]) if logy is None else logy[tiny]) + 0.5 * y[tiny]
-    out[mid] = np.log(np.expm1(y[mid]))
-    out[big] = y[big]          # correction log(1 - e^{-y}) < 5e-15 here
+        np.copyto(out, y)          # y > 33: the correction log(1 - e^{-y}) < 5e-15
+        np.less_equal(y, 33.0, out=m)
+        np.log(np.expm1(y, out=out, where=m), out=out, where=m)
+        if np.less(y, 1e-8, out=m).any():   # log y + y / 2
+            half = np.multiply(0.5, y, out=_scratch(ws, "lem.half", y), where=m)
+            if logy is None:
+                np.log(y, out=out, where=m)
+            else:
+                np.copyto(out, logy, where=m)
+            np.add(out, half, out=out, where=m)
     return out
 
 
-def _inner(a: float, b: float, c: float, d: float, x):
+def _inner(a: float, b: float, c: float, d: float, x, ws=None):
     """Return (log x, s = x^d, c*s, log g, log z, z, log(1 - e^{-z})) for x > 0, elementwise.
 
     g = x^b (e^{c s} - 1) and z = a g, summed as log z = log a + log g.
     Where c*s underflows to 0, log(e^{c s} - 1) is carried as log c + d log x,
     so log z stays finite wherever it is representable, as does log(1 - e^{-z}).
+    With a _Workspace ws over x, log x is ws's and every result is one of its arrays.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", divide="ignore"):
-        lnx = np.log(x)
-        s = x ** d
-        cs = c * s
-        lg = b * lnx + _log_expm1(cs)
-        under = cs == 0.0
+        lnx = np.log(x) if ws is None else ws.lnx
+        s = _power(x, d, _scratch(ws, "s", x))
+        cs = np.multiply(c, s, out=_scratch(ws, "cs", x))
+        lg = _log_expm1(cs, out=_scratch(ws, "lg", x), ws=ws)
+        blnx = np.multiply(b, lnx, out=_scratch(ws, "t", x))
+        np.add(blnx, lg, out=lg)
+        under = np.equal(cs, 0.0, out=_scratch(ws, "mask", x, bool))
         if under.any():
-            lg = np.where(under, b * lnx + (math.log(c) + d * lnx), lg)
-        logz = math.log(a) + lg
-        z = np.exp(logz)
-        lnP = np.empty_like(z)
-        deep = logz < -36.7       # z below 1.1e-16: log(1 - e^{-z}) = log z to 1 ulp
-        small = (~deep) & (z <= _LN2)
-        big = (~deep) & (z > _LN2)
-        lnP[deep] = logz[deep]
-        lnP[small] = np.log(-np.expm1(-z[small]))
-        lnP[big] = np.log1p(-np.exp(-z[big]))
+            np.multiply(d, lnx, out=lg, where=under)
+            np.add(math.log(c), lg, out=lg, where=under)
+            np.add(blnx, lg, out=lg, where=under)
+        logz = np.add(math.log(a), lg, out=_scratch(ws, "logz", x))
+        z = np.exp(logz, out=_scratch(ws, "z", x))
+        # log(1 - e^{-z}) is log1p(-e^{-z}) above z = ln 2 and log(-expm1(-z))
+        # up to it; below z = 1.1e-16 it equals log z to 1 ulp
+        lnP = np.negative(z, out=_scratch(ws, "lnP", x))
+        m = np.greater(z, _LN2, out=under)
+        np.exp(lnP, out=lnP, where=m)
+        np.log1p(np.negative(lnP, out=lnP, where=m), out=lnP, where=m)
+        np.invert(m, out=m)
+        np.expm1(lnP, out=lnP, where=m)
+        np.log(np.negative(lnP, out=lnP, where=m), out=lnP, where=m)
+        np.copyto(lnP, logz, where=np.less(logz, -36.7, out=m))
     return lnx, s, cs, lg, logz, z, lnP
 
 
@@ -179,34 +240,54 @@ def survival(p: EgwgParams, x):
     return _ret(-np.expm1(lf), scalar)
 
 
-def _log_f(p: EgwgParams, xs: np.ndarray, k: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(log f, unclamped log F) at the points xs > 0, given their kernel k = _inner(..., xs).
+def _log_f(p: EgwgParams, xs: np.ndarray, k: tuple, ws=None) -> tuple[np.ndarray, np.ndarray]:
+    """(log f, unclamped log F) at the points xs > 0, given their kernel k = _inner(..., xs, ws).
 
     Uses the rewrite a*b*x^{b-1}*(1 + (c d / b) x^d - e^{-c x^d})
     = a x^{b-1} * [b (1 - e^{-c x^d}) + c d x^d], which evaluates the b -> 0
     limit directly instead of producing 0 * inf.  For theta < 1, where f
     blows up as x -> 0+, log f is clamped at the point where F = 1e-300;
-    only then is the kernel evaluated a second time, at the clamped points.
+    only then is the kernel evaluated a second time, at the clamped points
+    (given ws, in its clamped workspace, so that k stays intact).
     """
     lnx, s, cs, _, _, z, l1mez = k
-    log_F = p.theta * l1mez
-    if p.theta < 1.0 and np.any(log_F < _LOG_TINY):
+    log_F = np.multiply(p.theta, l1mez, out=_scratch(ws, "log_F", xs))
+    if p.theta < 1.0 and np.less(log_F, _LOG_TINY, out=_scratch(ws, "mask", xs, bool)).any():
         try:
-            xs = np.maximum(xs, quantile(p, 1e-300))
+            lo = quantile(p, 1e-300)
         except BracketError:   # no clamp below the float range
             pass
         else:
-            lnx, s, cs, _, _, z, l1mez = _inner(p.a, p.b, p.c, p.d, xs)
+            if ws is None:
+                xs = np.maximum(xs, lo)
+            else:
+                ws = ws.clamped(lo)
+                xs = ws.x
+            lnx, s, cs, _, _, z, l1mez = _inner(p.a, p.b, p.c, p.d, xs, ws=ws)
+    t = _scratch(ws, "t", xs)
+    mask = _scratch(ws, "mask", xs, bool)
+    out = _scratch(ws, "log_f", xs)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        logw = np.log(p.b * (-np.expm1(-cs)) + p.c * p.d * s)
-        under = cs == 0.0
+        # log w = log(b (1 - e^{-c x^d}) + c d x^d)
+        logw = np.negative(cs, out=_scratch(ws, "logw", xs))
+        np.negative(np.expm1(logw, out=logw), out=logw)
+        np.add(np.multiply(p.b, logw, out=logw), np.multiply(p.c * p.d, s, out=t), out=logw)
+        np.log(logw, out=logw)
+        under = np.equal(cs, 0.0, out=mask)
         if under.any():
             # where c x^d underflows, w = (b + d) c x^d to within a factor 1 + c x^d
-            logw = np.where(under, math.log(p.c) + p.d * lnx + math.log(p.b + p.d), logw)
-        out = (math.log(p.a) + math.log(p.theta) + (p.b - 1.0) * lnx
-               + cs - z + logw + (p.theta - 1.0) * l1mez)
-    out[np.isnan(out)] = -np.inf   # deep right tail: cs - z -> -inf, not inf - inf
-    return np.minimum(out, _LOG_MAX), log_F
+            np.multiply(p.d, lnx, out=logw, where=under)
+            np.add(math.log(p.c), logw, out=logw, where=under)
+            np.add(logw, math.log(p.b + p.d), out=logw, where=under)
+        # log a + log theta + (b - 1) log x + c x^d - z + log w + (theta - 1) log(1 - e^{-z})
+        np.add(math.log(p.a) + math.log(p.theta), np.multiply(p.b - 1.0, lnx, out=out), out=out)
+        np.add(out, cs, out=out)
+        np.subtract(out, z, out=out)
+        np.add(out, logw, out=out)
+        np.add(out, np.multiply(p.theta - 1.0, l1mez, out=t), out=out)
+    # deep right tail: cs - z -> -inf, not inf - inf
+    np.copyto(out, -np.inf, where=np.isnan(out, out=mask))
+    return np.minimum(out, _LOG_MAX, out=out), log_F
 
 
 def _log_density(p: EgwgParams, x) -> tuple[np.ndarray, np.ndarray, bool]:

@@ -9,6 +9,13 @@ and its analytic gradient are all read from it.  The gradient is derived
 directly from the log-likelihood; a finite-difference property test
 arbitrates it.
 
+The fit's objective owns one workspace over the data (distribution's
+_Workspace): log x is computed once, and the kernel, log f and the
+gradient write every intermediate into the workspace's arrays, so an
+evaluation allocates no array of the data's length.  The public functions
+here (loglik, loglik_grad, profile_theta) run the same code with fresh
+arrays.  fit frees the workspace once its L-BFGS-B runs are done.
+
 The likelihood of this family is unbounded along degenerate spike ridges
 (b, d large) and improves toward the c -> 0 boundary closure on some data
 sets, so the optimizer works inside a documented parameter box; a terminus
@@ -173,40 +180,70 @@ def loglik_grad(p: EgwgParams, data: Dataset) -> np.ndarray:
     return _grad(p, x, dist._inner(p.a, p.b, p.c, p.d, x))
 
 
-def _grad(p: EgwgParams, x: np.ndarray, k: tuple) -> np.ndarray:
-    """loglik_grad at p from the kernel k = dist._inner(a, b, c, d, x)."""
+def _grad(p: EgwgParams, x: np.ndarray, k: tuple, ws=None) -> np.ndarray:
+    """loglik_grad at p from the kernel k = dist._inner(a, b, c, d, x, ws).
+
+    The terms of each sum are formed in ws's arrays (fresh ones when ws is None).
+    """
     n = x.size
     a, b, c, d, th = p.a, p.b, p.c, p.d, p.theta
+    lnx, s, cs, lg, logz, z, lnP = k
+    tmp = dist._scratch(ws, "t", x)
+    prod = dist._scratch(ws, "grad.prod", x)
+    mask = dist._scratch(ws, "mask", x, bool)
+
+    def sums(terms):
+        """(sum of terms, sum of terms * log x)."""
+        return np.sum(terms), np.sum(np.multiply(terms, lnx, out=prod))
+
     with np.errstate(all="ignore"):
-        lnx, s, cs, lg, logz, z, lnP = k
-        log_s = d * lnx
-        lem1z = np.where(logz < -36.0, logz, dist._log_expm1(np.maximum(z, 1e-300)))
-        W = (c * d / b) * s - np.expm1(-cs)   # 1 + (c d / b) s - e^{-cs}, no cancellation
-        g = np.exp(lg)                       # x^b (e^{cs} - 1)
-        t_g = np.exp(lg - lem1z)             # g / (e^z - 1)
-        xbsE = np.exp(b * lnx + log_s + cs)  # x^b s e^{cs}
-        t_c = np.exp(b * lnx + log_s + cs - lem1z)
+        # log(e^z - 1), carried as log z below z = e^-36
+        lem1z = dist._log_expm1(np.maximum(z, 1e-300, out=tmp),
+                                out=dist._scratch(ws, "grad.lem1z", x), ws=ws)
+        np.copyto(lem1z, logz, where=np.less(logz, -36.0, out=mask))
+        # W = 1 + (c d / b) s - e^{-cs}, with no cancellation
+        W = np.negative(cs, out=dist._scratch(ws, "grad.W", x))
+        np.subtract(np.multiply(c * d / b, s, out=tmp), np.expm1(W, out=W), out=W)
 
-        w_b = s / W
-        w_c = s * (d / b + np.exp(-cs)) / W
-        w_d = (c / b) * s * (1.0 + d * lnx + b * np.exp(-cs) * lnx) / W
-        under = cs == 0.0
-        if under.any():
-            # where c s underflows, W = c s (b + d) / b to within a factor 1 + c s
-            w_b[under] = b / (c * (b + d))
-            w_c[under] = 1.0 / c
-            w_d[under] = 1.0 / (b + d) + lnx[under]
+        S_g, S_glnx = sums(np.exp(lg, out=tmp))                  # g = x^b (e^{cs} - 1)
+        S_tg, S_tglnx = sums(np.exp(np.subtract(lg, lem1z, out=tmp), out=tmp))   # g / (e^z - 1)
+        E = np.multiply(b, lnx, out=dist._scratch(ws, "grad.E", x))
+        np.add(np.add(E, np.multiply(d, lnx, out=tmp), out=E), cs, out=E)   # log(x^b s e^{cs})
+        S_xbsE, S_xbsElnx = sums(np.exp(E, out=tmp))
+        S_tc, S_tclnx = sums(np.exp(np.subtract(E, lem1z, out=tmp), out=tmp))
+        S_s, S_slnx = sums(s)
 
-        da = n / a - np.sum(g) + (th - 1.0) * np.sum(t_g)
-        db = (n / b + np.sum(lnx) - a * np.sum(g * lnx)
-              + (th - 1.0) * a * np.sum(t_g * lnx)
-              - (c * d / b ** 2) * np.sum(w_b))
-        dc = (np.sum(s) - a * np.sum(xbsE)
-              + (th - 1.0) * a * np.sum(t_c)
-              + np.sum(w_c))
-        dd = (c * np.sum(s * lnx) - a * c * np.sum(xbsE * lnx)
-              + (th - 1.0) * a * c * np.sum(t_c * lnx)
-              + np.sum(w_d))
+        # w_b = s / W, w_c = s (d / b + e^{-cs}) / W and
+        # w_d = (c / b) s (1 + d log x + b e^{-cs} log x) / W; where c s
+        # underflows, W = c s (b + d) / b to within a factor 1 + c s
+        under = np.equal(cs, 0.0, out=mask)
+        any_under = under.any()
+        w = np.divide(s, W, out=tmp)
+        if any_under:
+            np.copyto(w, b / (c * (b + d)), where=under)
+        S_wb = np.sum(w)
+        e_cs = np.exp(np.negative(cs, out=E), out=E)
+        w = np.divide(np.multiply(s, np.add(d / b, e_cs, out=tmp), out=tmp), W, out=tmp)
+        if any_under:
+            np.copyto(w, 1.0 / c, where=under)
+        S_wc = np.sum(w)
+        np.multiply(np.multiply(b, e_cs, out=e_cs), lnx, out=e_cs)
+        w = np.add(np.add(1.0, np.multiply(d, lnx, out=tmp), out=tmp), e_cs, out=tmp)
+        np.divide(np.multiply(np.multiply(c / b, s, out=prod), w, out=w), W, out=w)
+        if any_under:
+            np.add(1.0 / (b + d), lnx, out=w, where=under)
+        S_wd = np.sum(w)
+
+        da = n / a - S_g + (th - 1.0) * S_tg
+        db = (n / b + np.sum(lnx) - a * S_glnx
+              + (th - 1.0) * a * S_tglnx
+              - (c * d / b ** 2) * S_wb)
+        dc = (S_s - a * S_xbsE
+              + (th - 1.0) * a * S_tc
+              + S_wc)
+        dd = (c * S_slnx - a * c * S_xbsElnx
+              + (th - 1.0) * a * c * S_tclnx
+              + S_wd)
         dth = n / th + np.sum(lnP)
     return np.array([da, db, dc, dd, dth])
 
@@ -246,29 +283,34 @@ class _Objective:
 
     The value at u is exactly -loglik at (a, b, c, d, profile_theta(...)),
     or _BIG where theta cannot be profiled or the likelihood is -inf.
+    Every evaluation writes into one workspace over the data (log x,
+    computed once, and the kernel's, log f's and the gradient's arrays), so
+    it allocates no array of the data's length.
     """
 
     def __init__(self, data: Dataset):
         self.data = data
+        self.ws = dist._Workspace(data.values)
         self.n_evals = 0
 
     def value_grad(self, u: np.ndarray):
         """(f, df/du) from one dist._inner pass (two where log_pdf's theta < 1 clamp acts)."""
         self.n_evals += 1
         a, b, c, d = np.exp(u)
-        x = self.data.values
+        ws = self.ws
+        x = ws.x
         with np.errstate(all="ignore"):
-            k = dist._inner(a, b, c, d, x)
+            k = dist._inner(a, b, c, d, x, ws=ws)
             try:
                 p = EgwgParams(a, b, c, d, _theta_hat(self.data.n, k[6]))
             except LeftTailUnderflowError:
                 return _BIG, np.zeros(4)
-            ll = float(np.sum(dist._log_f(p, x, k)[0]))
+            ll = float(np.sum(dist._log_f(p, x, k, ws)[0]))
             if not math.isfinite(ll):   # the sentinel has no slope; a huge finite -L keeps its own
                 return _BIG, np.zeros(4)
             # envelope theorem: dL/dtheta = 0 at the profiled theta, so the
             # profiled gradient is the partial gradient; chain rule to log space
-            gu = -_grad(p, x, k)[:4] * np.exp(u)
+            gu = -_grad(p, x, k, ws)[:4] * np.exp(u)
         return -ll, (gu if np.all(np.isfinite(gu)) else np.zeros(4))
 
 
@@ -379,6 +421,8 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
         _log.debug("restart %d: L-BFGS-B nfev=%d (%s), max projected gradient %.3g; %s",
                    k, r1.nfev, r1.message, pg1, retry)
         termini.append((fu, u, stat))
+    n_evals = obj.n_evals
+    del obj   # frees the objective's workspace before the curvature
 
     converged_termini = [t for t in termini if t[2]]
     pool = converged_termini if converged_termini else termini
@@ -409,7 +453,7 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
 
     result = FitResult(params=params, loglik=ll, covariance=cov, intervals=None,
                        level=cfg.ci_level, converged=converged,
-                       n_evals=obj.n_evals, restarts_used=len(termini))
+                       n_evals=n_evals, restarts_used=len(termini))
     try:
         result.intervals = confidence_intervals(result, cfg.ci_level)
         result.below_zero = tuple(

@@ -28,7 +28,11 @@ CSV_HEADER = "model,mle_json,ks,neg_loglik,aic,caic,bic,p_value"
 @dataclass(frozen=True)
 class FittedModel:
     """What the comparison needs from a fitted model: its parameters,
-    effective parameter count, CDF and maximised likelihood."""
+    effective parameter count, CDF and maximised likelihood.
+
+    ``cdf`` must accept an array of points and return an array of the
+    same shape: compare calls it once per model, on the distinct values.
+    """
 
     name: str
     params: dict
@@ -51,19 +55,24 @@ class GofReport:
     n: int
 
 
+def _ks_distance(x: np.ndarray, distinct: np.ndarray, F: np.ndarray) -> float:
+    """D of sorted data x, given F at its distinct values (see ks_statistic)."""
+    n = x.size
+    below = np.searchsorted(x, distinct, side="left") / n
+    above = np.searchsorted(x, distinct, side="right") / n
+    return float(np.max(np.maximum(np.abs(F - below), np.abs(F - above))))
+
+
 def ks_statistic(cdf_fn: Callable, values) -> float:
     """One-sample Kolmogorov-Smirnov distance of sorted data from a CDF.
 
     D = max_i max(|F(x_(i)) - i/n|, |F(x_(i)) - (i-1)/n|); tied observations
     are evaluated once per distinct value against the cumulative counts.
+    cdf_fn is called on one value at a time.
     """
     x = np.sort(np.asarray(values, dtype=float))
-    n = x.size
     distinct = np.unique(x)
-    below = np.searchsorted(x, distinct, side="left") / n
-    above = np.searchsorted(x, distinct, side="right") / n
-    F = np.asarray([float(cdf_fn(v)) for v in distinct])
-    return float(np.max(np.maximum(np.abs(F - below), np.abs(F - above))))
+    return _ks_distance(x, distinct, np.asarray([float(cdf_fn(v)) for v in distinct]))
 
 
 def ks_pvalue(d: float, n: int) -> float:
@@ -111,14 +120,20 @@ def info_criteria(neg_loglik: float, k: int, n: int) -> tuple[float, float, floa
 def compare(values, models: Sequence[FittedModel]) -> tuple[list, dict]:
     """One GofReport per model plus rankings by each criterion.
 
-    Reports keep the input model order; rankings are stable, so ties
+    Each model's CDF is evaluated once, on the array of distinct values
+    (see FittedModel).  Reports keep the input model order; rankings are stable, so ties
     resolve to the earlier model.
     """
     x = np.sort(np.asarray(values, dtype=float))
     n = x.size
+    distinct = np.unique(x)
     reports = []
     for m in models:
-        dks = ks_statistic(m.cdf, x)
+        F = np.asarray(m.cdf(distinct), dtype=float)
+        if F.shape != distinct.shape:
+            raise ValueError(f"the cdf of model {m.name!r} returned shape {F.shape} "
+                             f"for {distinct.size} points; it must accept an array")
+        dks = _ks_distance(x, distinct, F)
         aic, caic, bic = info_criteria(m.neg_loglik, m.k, n)
         reports.append(GofReport(model=m.name, mle=dict(m.params), ks=dks,
                                  p_value=ks_pvalue(dks, n),

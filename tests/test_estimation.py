@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -57,6 +58,10 @@ RETRY_SAMPLE = Dataset(sample(
 # n = 1000 with one point at 1e-100: large enough for the profiled objective
 # to reach log_pdf's theta < 1 clamp (see TestObjective)
 CLAMP_SAMPLE = Dataset(np.append(sample(EgwgParams(0.5, 1.0, 0.5, 1.0, 1.0), 999, 3), 1e-100))
+
+# the n = 20000 midpoint-quantile sample of the recovery law that perfbench's
+# sample-fit workload fits
+BIG_SAMPLE = Dataset(dist._batch_quantile(RECOVERY_TRUTH, (np.arange(20000) + 0.5) / 20000))
 
 
 def _spy_stages(monkeypatch):
@@ -258,9 +263,9 @@ class TestObjective:
         calls = []
         real = dist._inner
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             calls.append(args)
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(dist, "_inner", spy)
         return calls
@@ -373,6 +378,73 @@ class TestObjective:
             assume(_BIG not in (up, dn))
             fd[i] = (up - dn) / (2.0 * h)
         assert np.max(np.abs(gu - fd)) <= 1e-4 * np.max(np.abs(fd))
+
+    @pytest.mark.parametrize("d", [0.5, 1.0, 2.0])
+    def test_is_the_public_loglik_bit_for_bit_at_n_20000(self, d):
+        # numpy evaluates x ** 0.5 as sqrt(x); the workspace must keep those bits
+        u = np.log([RECOVERY_TRUTH.a, RECOVERY_TRUTH.b, 1e-3, d])
+        a, b, c, d_u = np.exp(u)
+        assert d_u == d
+        f, gu = _Objective(BIG_SAMPLE).value_grad(u)
+        p = EgwgParams(a, b, c, d_u, profile_theta(a, b, c, d_u, BIG_SAMPLE))
+        assert f < _BIG and f == -loglik(p, BIG_SAMPLE)
+        np.testing.assert_array_equal(gu, -loglik_grad(p, BIG_SAMPLE)[:4] * np.exp(u))
+
+    def edge_points(self, monkeypatch):
+        """On CLAMP_SAMPLE: u1, where neither the clamp nor the c x^d
+        underflow acts; u2 and u3, where both act; and a _BIG point."""
+        calls = self.count_kernel_passes(monkeypatch)
+        obj = _Objective(CLAMP_SAMPLE)
+        x = CLAMP_SAMPLE.values
+
+        def passes_and_under(u):
+            calls.clear()
+            f = obj.value_grad(u)[0]
+            _, _, c, d = np.exp(u)
+            return f, len(calls), bool(np.any(c * x ** d == 0.0))
+
+        u1 = np.log([0.5, 1.0, 0.5, 1.0])
+        f1, passes, under = passes_and_under(u1)
+        assert f1 < _BIG and passes == 1 and not under
+        both = [u for u in self.clamp_box_points(12, 400)
+                if passes_and_under(u)[1:] == (2, True)]
+        rng = np.random.default_rng(5)
+        lo, hi = np.log(FitConfig().box).T
+        big = next(u for u in rng.uniform(lo, hi, (400, 4)) if obj.value_grad(u)[0] == _BIG)
+        monkeypatch.undo()
+        return u1, both[0], both[1], big
+
+    def test_no_value_survives_from_the_evaluation_before(self, monkeypatch):
+        u1, u2, u3, big = self.edge_points(monkeypatch)
+        obj = _Objective(CLAMP_SAMPLE)
+        for u in (u1, u2, u1, big, u1, u3, u2, big, u3, u1):
+            f, gu = obj.value_grad(u)
+            f_new, gu_new = _Objective(CLAMP_SAMPLE).value_grad(u)
+            assert f == f_new
+            np.testing.assert_array_equal(gu, gu_new)
+
+    @pytest.mark.parametrize("where", ["n20000", "clamp"])
+    def test_an_evaluation_allocates_no_array_of_the_data_length(self, where, monkeypatch):
+        # once the workspace exists, what one evaluation allocates stays below
+        # two arrays of n floats (a counter, not a wall time)
+        if where == "clamp":
+            data = CLAMP_SAMPLE
+            _, u_warm, u, _ = self.edge_points(monkeypatch)
+        else:
+            data = BIG_SAMPLE
+            p = RECOVERY_TRUTH
+            u_warm = np.log([p.a, p.b, p.c, p.d])
+            u = u_warm + 0.01
+        obj = _Objective(data)
+        obj.value_grad(u_warm)
+        tracemalloc.start()
+        try:
+            f, _ = obj.value_grad(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f != _BIG
+        assert peak < 2 * 8 * data.n
 
 
 class TestFitConfig:

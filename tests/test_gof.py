@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from egwgd import AARSET, cdf
+from egwgd import AARSET, cdf, sample
 from egwgd.exceptions import DomainError
 from egwgd.gof import (
     CSV_HEADER,
@@ -18,7 +18,7 @@ from egwgd.gof import (
     reports_to_csv,
 )
 from egwgd.submodels import competitor_cdf, competitor_loglik, fit_competitor
-from conftest import PRINTED_MLE
+from conftest import PRINTED_MLE, RECOVERY_TRUTH
 
 # mpmath evaluation at the closed-form exponential MLE, frozen pre-build
 KS_ED_AARSET = 0.19107227403188
@@ -143,6 +143,28 @@ class TestCompare:
         reports, rankings = compare(AARSET, models)
         for crit in ("ks", "aic", "caic", "bic"):
             assert rankings[crit][0] == "egwgd"
+
+    @pytest.mark.parametrize("values", [
+        np.asarray(AARSET, dtype=float),                    # 50 lifetimes, 30 distinct
+        np.round(sample(RECOVERY_TRUTH, 400, 5), 1) + 0.1,  # heavy ties
+    ], ids=["aarset", "rounded"])
+    def test_ks_is_ks_statistic_bit_for_bit(self, values):
+        # compare evaluates each cdf once on the distinct values; ks_statistic
+        # once per value: both give the same D for all seven models
+        assert np.unique(values).size < values.size
+        models = [_fitted(k, values) for k in ("ed", "ged", "gd", "iw", "giw", "egiw")]
+        models.append(FittedModel(name="egwgd", params=PRINTED_MLE.to_dict(), k=5,
+                                  cdf=lambda x: cdf(PRINTED_MLE, x), neg_loglik=0.0))
+        reports, _ = compare(values, models)
+        for m, r in zip(models, reports):
+            assert r.ks == ks_statistic(m.cdf, values), m.name
+
+    def test_cdf_that_takes_only_scalars_is_refused(self):
+        m = _fitted("ed", AARSET)
+        scalar = FittedModel(name="scalar", params=m.params, k=m.k,
+                             cdf=lambda x: float(np.sum(m.cdf(x))), neg_loglik=m.neg_loglik)
+        with pytest.raises(ValueError, match="must accept an array"):
+            compare(AARSET, [scalar])
 
     def test_report_invariants(self):
         reports, _ = compare(AARSET, [_fitted("ed", AARSET), _fitted("gd", AARSET)])
