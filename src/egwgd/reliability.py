@@ -2,8 +2,11 @@
 
 Moments, MTTF/MTTR/MTBF, steady-state availability, maintainability, mean
 residual life, mean past life and order-statistic densities.  Every quantity
-is obtained by adaptive quadrature of the defining integral; nothing here
-relies on series expansions.
+is obtained by adaptive quadrature of the defining integral, to a purely
+relative tolerance; nothing here relies on series expansions or tail
+approximations.  Mean residual and mean past life integrate the ratios
+R(x)/R(t) and F(x)/F(t), which are of order one where the mass lies, so
+neither integral underflows while R(t) and F(t) are normal floats.
 """
 
 from __future__ import annotations
@@ -30,22 +33,11 @@ __all__ = [
     "order_stat_pdf",
 ]
 
-_TAIL_Q = 1.0 - 1e-14   # quadrature domain cap for survival integrals
+_WIDTH_Q = 1.0 - 1e-6   # its quantile sets the width of the survival integrals' map
+_TINY = float(np.finfo(float).tiny)
+# no absolute tolerance: a law supported around 1e-26 would otherwise be
+# 'converged' long before any relative accuracy is reached
 _RELATIVE = QuadratureConfig(abs_tol=0.0)
-
-
-def _tolerance(magnitude: float) -> QuadratureConfig:
-    """Default tolerances, with the absolute one pinned below the expected magnitude.
-
-    Distributions whose support sits at extreme scales (say 1e-26) would
-    otherwise be 'converged' the moment the error dips under the default
-    absolute tolerance, long before any relative accuracy is reached.
-    """
-    cfg = QuadratureConfig()
-    target = cfg.rel_tol * magnitude * 1e-2
-    if 0.0 < magnitude < math.inf and target < cfg.abs_tol:
-        return QuadratureConfig(abs_tol=target)
-    return cfg
 
 
 def raw_moment(p: EgwgParams, r: int) -> float:
@@ -66,7 +58,7 @@ def raw_moment(p: EgwgParams, r: int) -> float:
     def f(x: np.ndarray) -> np.ndarray:
         return x ** r * dist.pdf(p, x)
 
-    return integrate(f, 0.0, math.inf, _tolerance(0.5 * med ** r), scale=scale)
+    return integrate(f, 0.0, math.inf, _RELATIVE, scale=scale)
 
 
 def mttf(p: EgwgParams) -> float:
@@ -115,50 +107,52 @@ def maintainability(repair: EgwgParams, t):
 
 
 def mean_residual_life(p: EgwgParams, t):
-    """m(t) = (1 / R(t)) * integral of R over (t, inf); m(0) is the mean.
+    """m(t) = integral of R(x) / R(t) over (t, inf); m(0) is the mean.
 
     t may be a scalar (a float is returned) or an array (an array of the same
-    shape is returned, each element computed as for a scalar).  The
-    quadrature domain is capped at the 1 - 1e-14 quantile x_hi; the mass
-    beyond is added as R(x_hi)/h(x_hi), a bound that is exact to the same
-    1e-14 order where the hazard increases in the far tail.  Where it still
-    decreases at x_hi (small d), the term understates that mass.  Both are
-    computed once per call.
+    shape is returned, each element computed as for a scalar).  The integral
+    runs to infinity through the quadrature's semi-infinite map, whose width
+    is max(x_w, t) with x_w the 1 - 1e-6 quantile, solved once per call.
+
+    Raises:
+        DomainError: t < 0.
+        TailOverflowError: R(t) is below the smallest normal float, where
+            the ratio R(x) / R(t) would keep too few bits.
     """
     ts = np.asarray(t, dtype=float)
     out = np.empty(ts.shape)
-    x_hi = tail = None
+    x_w = None
     for i, ti in enumerate(ts.flat):
         ti = float(ti)
         if ti < 0.0:
             raise DomainError(f"mean residual life requires t >= 0, got {ti}")
         rt = dist.survival(p, ti)
-        if rt <= 0.0:
-            raise TailOverflowError(f"survival underflowed at t = {ti!r}")
-        if x_hi is None:
-            x_hi = dist.quantile(p, _TAIL_Q)
-            tail = dist.survival(p, x_hi) / float(dist.hazard(p, x_hi))
-        if ti >= x_hi:
-            # already beyond the cap: the increasing-hazard bound is the estimate
-            out.flat[i] = 1.0 / float(dist.hazard(p, ti))
-            continue
-        # R >= R(x_hi) > 0 on [t, x_hi], so a purely relative tolerance is
-        # reachable; rt * (x_hi - t) can overstate the body by orders of magnitude
-        body = integrate(lambda x: dist.survival(p, x), ti, x_hi, _RELATIVE)
-        out.flat[i] = (body + tail) / rt
+        if rt < _TINY:
+            raise TailOverflowError(f"survival {rt!r} is below the smallest normal float "
+                                    f"at t = {ti!r}")
+        if x_w is None:
+            x_w = dist.quantile(p, _WIDTH_Q)
+        out.flat[i] = integrate(lambda x: dist.survival(p, x) / rt, ti, math.inf,
+                                _RELATIVE, scale=max(x_w, ti))
     return float(out) if ts.ndim == 0 else out
 
 
 def mean_past_life(p: EgwgParams, t: float) -> float:
-    """P(t) = (1 / F(t)) * integral of F over (0, t); satisfies 0 < P(t) < t."""
+    """P(t) = integral of F(x) / F(t) over (0, t); satisfies 0 < P(t) < t.
+
+    Raises:
+        DomainError: t <= 0.
+        LeftTailUnderflowError: F(t) is below the smallest normal float,
+            where the ratio F(x) / F(t) would keep too few bits.
+    """
     t = float(t)
     if t <= 0.0:
         raise DomainError(f"mean past life requires t > 0, got {t}")
     ft = dist.cdf(p, t)
-    if ft <= 0.0:
-        raise LeftTailUnderflowError(f"CDF underflowed at t = {t!r}")
-    body = integrate(lambda x: dist.cdf(p, x), 0.0, t, _tolerance(ft * t))
-    return body / ft
+    if ft < _TINY:
+        raise LeftTailUnderflowError(f"CDF {ft!r} is below the smallest normal float "
+                                     f"at t = {t!r}")
+    return integrate(lambda x: dist.cdf(p, x) / ft, 0.0, t, _RELATIVE)
 
 
 def order_stat_pdf(p: EgwgParams, i: int, n: int, x):

@@ -252,6 +252,13 @@ class TestReliabilityCommand:
         assert payload["mtbf"] == payload["mttf"] + payload["mttr"]
         assert payload["availability"] == payload["mttf"] / payload["mtbf"]
 
+    def test_t_with_subnormal_survival_rejected(self, capsys):
+        # Gompertz R(ln 741) = e^-740 is subnormal: too few bits for m(t)
+        code, out, err = run(capsys, "reliability", *GOMPERTZ_FLAGS,
+                             "--t", repr(math.log(741.0)))
+        assert code == 1
+        assert out == "" and "smallest normal float" in err
+
     def test_partial_repair_flags_rejected(self, capsys):
         code, _, _ = run(capsys, "reliability", *GOMPERTZ_FLAGS, "--repair-a", "1.0")
         assert code == 1

@@ -12,7 +12,6 @@ from egwgd import (
     availability,
     cdf,
     find_root_increasing,
-    hazard,
     integrate,
     maintainability,
     mean_past_life,
@@ -28,7 +27,13 @@ from egwgd import (
     survival,
 )
 from egwgd import numerics
-from egwgd.exceptions import BracketError, DomainError, EgwgError
+from egwgd.exceptions import (
+    BracketError,
+    DomainError,
+    EgwgError,
+    LeftTailUnderflowError,
+    TailOverflowError,
+)
 from conftest import BOX_LAWS, PRINTED_MLE, OracleError, quad, random_params
 
 GOMPERTZ = EgwgParams(1.0, 0.0, 1.0, 1.0, 1.0)
@@ -76,10 +81,7 @@ def oracle_mttf(p):
 
 
 def oracle(p, t):
-    """(MTTF, MRL(t), MPL(t)) by QUADPACK in v = log x, each None where QUADPACK warns.
-
-    The MRL keeps the package's tail cap x_hi and its tail term.
-    """
+    """(MTTF, MRL(t), MPL(t)) by QUADPACK in v = log x, each None where QUADPACK warns."""
     def attempt(fn):
         try:
             return fn()
@@ -87,9 +89,7 @@ def oracle(p, t):
             return None
 
     def mrl():
-        x_hi = quantile(p, 1.0 - 1e-14)
-        body = log_x_integral(survival, p, math.log(t), math.log(x_hi))
-        return (body + survival(p, x_hi) / hazard(p, x_hi)) / survival(p, t)
+        return log_x_integral(survival, p, math.log(t), math.inf) / survival(p, t)
 
     def mpl():
         return log_x_integral(cdf, p, -math.inf, math.log(t)) / cdf(p, t)
@@ -205,6 +205,13 @@ class TestMeanResidualLife:
             p = random_params(rng)
             assert abs(mean_residual_life(p, 0.0) - raw_moment(p, 1)) < 1e-8 * raw_moment(p, 1)
 
+    def test_at_zero_equals_mttf_where_the_far_tail_hazard_decreases(self):
+        # h ~ 1/x beyond the 1 - 1e-14 quantile: a tail term R/h taken there
+        # would put m(0) 1.6e-4 below the mean
+        p = EgwgParams(8674.79, 0.0, 9.4976e-5, 0.068906, 0.234309)
+        m = mttf(p)
+        assert abs(mean_residual_life(p, 0.0) - m) <= 1e-10 * m
+
     def test_mrl_plus_t_nondecreasing(self):
         p = PRINTED_MLE
         grid = np.linspace(0.0, quantile(p, 0.995), 25)
@@ -212,7 +219,7 @@ class TestMeanResidualLife:
         assert np.all(vals >= 0.0)
         assert np.all(np.diff(vals + grid) >= -1e-8)
 
-    def test_array_solves_the_tail_cap_once(self, monkeypatch):
+    def test_array_solves_the_width_quantile_once(self, monkeypatch):
         from egwgd import distribution
 
         p = EgwgParams(0.5, 0.2, 0.3, 0.5, 1.5)
@@ -226,6 +233,11 @@ class TestMeanResidualLife:
         assert len(solves) == 1
         assert got.shape == ts.shape and list(got) == scalar
         assert type(mean_residual_life(p, ts[1])) is float
+
+    def test_subnormal_survival_rejected(self):
+        # Gompertz R(ln 741) = e^-740, a subnormal float
+        with pytest.raises(TailOverflowError, match="smallest normal float"):
+            mean_residual_life(GOMPERTZ, math.log(741.0))
 
     def test_printed_mle_riemann_oracle_at_18(self):
         # brute-force midpoint Riemann sum of the survival integral
@@ -263,6 +275,14 @@ class TestMeanPastLife:
     def test_domain(self):
         with pytest.raises(DomainError):
             mean_past_life(GOMPERTZ, 0.0)
+        # F(1e-320) is subnormal: too few bits for the ratio F(x) / F(t)
+        with pytest.raises(LeftTailUnderflowError, match="smallest normal float"):
+            mean_past_life(GOMPERTZ, 1e-320)
+
+    def test_integral_of_f_below_the_smallest_normal_float(self):
+        # F(t) ~ t is normal here, but the integral of F, ~ t^2 / 2, underflows
+        t = 9.86e-305
+        assert abs(mean_past_life(GOMPERTZ, t) / t - 0.5) <= 1e-12
 
 
 class TestOrderStatistics:
@@ -324,6 +344,9 @@ class TestIntegralIdentities:
         assert abs(mean_residual_life(p, 0.0) - m1) / m1 < 1e-6
         t = median(p)
         assert 0.0 < mean_past_life(p, t) < t
+        t = 4.56715e-21
+        want = oracle(p, t)[1]
+        assert abs(mean_residual_life(p, t) - want) <= 1e-9 * want
 
 
 class TestRepairableSystem:
@@ -346,7 +369,7 @@ class TestGaussKronrodRule:
 
 class TestRoundOffNearZero:
     def test_mrl_just_above_zero_matches_the_mean(self):
-        # QUADPACK stops on round-off for this integral over (4.2e-8, x_hi)
+        # QUADPACK stops on round-off for this integral over (4.2e-8, inf)
         p = EgwgParams(3.0, 0.1, 0.5, 0.3, 0.6)
         t = 4.19936e-08
         got = mean_residual_life(p, t)
@@ -366,13 +389,21 @@ class TestAgainstQuadpack:
         assert abs(t - cdf(p, t) * mpl + survival(p, t) * mrl - m) <= 1e-8 * m
 
     def test_mrl_whose_body_is_far_below_rt_times_the_range(self):
-        # the mass sits some 50 decades below x_hi = 4.6e-3: an absolute
-        # tolerance scaled by R(t) (x_hi - t) would stop the body 4e-4 short
+        # the mass sits some 50 decades below the 1 - 1e-14 quantile 4.6e-3:
+        # an absolute tolerance scaled by R(t) times the range up to there
+        # would stop the integral 4e-4 short
         p = EgwgParams(371.91884395338286, 0.0, 0.11846961757499047, 0.06315093118390538,
                        1.636289236566082)
         t = 1.1945974523098362e-50
         want = oracle(p, t)[1]
         assert abs(mean_residual_life(p, t) - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("log_rt", [-30.0, -300.0, -700.0])
+    def test_mrl_far_in_the_gompertz_tail(self, log_rt):
+        # R(t) = e^-(e^t - 1); the last two t lie beyond the 1 - 1e-14 quantile
+        t = math.log1p(-log_rt)
+        want = oracle(GOMPERTZ, t)[1]
+        assert abs(mean_residual_life(GOMPERTZ, t) - want) <= 1e-9 * want
 
     @settings(max_examples=40)
     @given(BOX_LAWS, st.floats(1e-6, 1.0 - 1e-6))
