@@ -31,9 +31,7 @@ _SOURCES = {
         "profile_theta", "observed_information", "confidence_intervals",
     ),
     "gof": ("FittedModel", "GofReport", "compare", "info_criteria", "ks_pvalue", "ks_statistic"),
-    "numerics": (
-        "QuadratureConfig", "integrate", "find_root_increasing", "numerical_hessian",
-    ),
+    "numerics": ("integrate", "find_root_increasing", "numerical_hessian"),
     "reliability": (
         "RepairableSystem", "availability", "maintainability", "mean_past_life",
         "mean_residual_life", "mtbf", "mttf", "order_stat_pdf", "raw_moment",

@@ -4,17 +4,18 @@ Adaptive quadrature on finite and semi-infinite intervals, bracketed root
 finding for strictly monotone functions, and finite-difference Hessians.
 The quadrature engine is global-adaptive Gauss-Kronrod G10/K21 in numpy,
 the rule and error estimate of QUADPACK's qk21; its integrands take and
-return arrays, and it raises typed errors instead of returning an estimate
-whose error bound misses its tolerance.  Root finding closes its bracket with Brent's
-method (``scipy.optimize.brentq``), imported inside the function that calls
-it, so importing this module loads no scipy; this module owns the interval
-transformation, bracketing, error policy and stencil logic.
+return arrays.  Every integral is computed to one purely relative
+tolerance, 1e-10, within 2000 subintervals, and the engine raises typed
+errors instead of returning an estimate whose error bound misses it, so an
+integral whose value is zero raises.  Root finding closes its bracket with
+Brent's method (``scipy.optimize.brentq``), imported inside the function
+that calls it, so importing this module loads no scipy; this module owns
+the interval transformation, bracketing, error policy and stencil logic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,33 +28,16 @@ from .exceptions import (
 )
 
 __all__ = [
-    "QuadratureConfig",
     "integrate",
     "find_root_increasing",
     "numerical_hessian",
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and budget for adaptive quadrature.
-
-    Moments computed from these defaults are trusted to >= 8 digits and serve
-    as the oracle for the reliability metrics, hence the tight rel_tol.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0):
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if not (self.abs_tol >= 0.0):
-            raise ValueError(f"abs_tol must be >= 0, got {self.abs_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
-
+# integrals are returned once their error bound is at most _REL_TOL * |I|;
+# no absolute floor, which would accept any answer for an integral below it
+_REL_TOL = 1e-10
+_MAX_INTERVALS = 2000
 
 # Gauss-Kronrod G10/K21, the rule of QUADPACK's qk21 (Piessens et al.,
 # QUADPACK, Springer 1983): the 21 Kronrod abscissae on [-1, 1], whose
@@ -118,7 +102,6 @@ def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    cfg: QuadratureConfig | None = None,
     *,
     scale: float = 1.0,
 ) -> float:
@@ -132,25 +115,26 @@ def integrate(
     one call of ``f``.  The error estimate of an interval is QUADPACK's
     ``resasc * min(1, (200 |K21 - G10| / resasc)^1.5)``, floored at 50 ulp of
     the rule's absolute sum.  The result is returned once the estimates sum
-    to at most ``max(abs_tol, rel_tol * |I|)``.
+    to at most ``1e-10 * |I|``.  There is no absolute tolerance: a tiny
+    integral is computed to the same relative accuracy as any other, and an
+    integral whose value is zero cannot meet the tolerance and raises
+    (unless ``f`` is zero at every node, when 0.0 is returned).
 
     A semi-infinite upper limit is mapped onto the unit interval through
     ``x = lo + scale * u / (1 - u)``, integrated in u below u = 1/2 and in
     ``1 - u`` above, so that nodes keep full precision both near ``lo`` and
     far out; ``scale`` should be a characteristic width of the integrand
-    (it changes only convergence speed, never the value).  No node lies on
-    an endpoint, and integrable endpoint singularities are resolved by
-    bisection towards them.
+    (it changes convergence speed, and the value only within the error
+    estimate).  No node lies on an endpoint, and integrable endpoint
+    singularities are resolved by bisection towards them.
 
     Raises:
         InvalidIntegrandError: ``f`` returned NaN inside the interval.
-        QuadratureAccuracyError: splitting further would exceed
-            ``max_subdivisions`` intervals, or the estimate is not finite;
-            the error carries the estimate and the error bound.
+        QuadratureAccuracyError: splitting further would exceed 2000
+            intervals, or the estimate is not finite; the error carries the
+            estimate and the error bound.
         ValueError: ``f`` returned an array of another shape.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if not (scale > 0.0 and math.isfinite(scale)):
@@ -197,13 +181,13 @@ def integrate(
             raise QuadratureAccuracyError(
                 f"non-finite quadrature estimate {total!r} on [{lo}, {hi}]",
                 estimate=total, error_bound=bound)
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        tol = _REL_TOL * abs(total)
         if bound <= tol:
             return total
-        room = cfg.max_subdivisions - res.size
+        room = _MAX_INTERVALS - res.size
         if room <= 0:
             raise QuadratureAccuracyError(
-                f"{cfg.max_subdivisions} subintervals reached with error bound "
+                f"{_MAX_INTERVALS} subintervals reached with error bound "
                 f"{bound:.3g} above the tolerance {tol:.3g} on [{lo}, {hi}]",
                 estimate=total, error_bound=bound)
         # largest errors first, until what stays unsplit sums to <= tol / 2

@@ -99,7 +99,8 @@ def quad(f, lo, hi, *, rel_tol=1e-10, abs_tol=1e-12):
 
     An oracle that shares nothing with the package's quadrature engine:
     scipy.integrate.quad (QAGS, or QAGI where a limit is infinite) with the
-    tolerances and the 2000-interval budget of QuadratureConfig's defaults.
+    relative tolerance 1e-10 and the 2000-interval budget of
+    ``numerics.integrate``, plus an absolute tolerance of 1e-12 by default.
     Raises OracleError where QUADPACK warns.
     """
     from scipy.integrate import quad as quadpack
