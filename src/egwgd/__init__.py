@@ -1,14 +1,14 @@
 """Exponentiated generalized Weibull-Gompertz lifetime distribution toolkit.
 
-A numpy/scipy library for the five-parameter family with CDF
+A numpy library for the five-parameter family with CDF
 ``[1 - exp(-a x^b (e^{c x^d} - 1))]^theta``: exact distribution functions,
 quantiles and sampling, reliability metrics from defining integrals,
 maximum-likelihood estimation with Wald intervals, and goodness-of-fit
 model comparison.  A command-line front end is installed as ``egwgd``.
 
-``import egwgd`` loads numpy and no scipy: each public name is imported from
-its defining module on first access (PEP 562), so a program pays only for
-the modules it uses.
+The package needs only numpy.  ``import egwgd`` loads numpy and the
+package root: each public name is imported from its defining module on
+first access (PEP 562), so a program pays only for the modules it uses.
 """
 
 import importlib

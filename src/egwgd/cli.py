@@ -4,7 +4,8 @@ Subcommands: fit, compare, curves, sample, reliability, eval.  Machine
 outputs (JSON / CSV / sample lines) serialize numbers at full precision;
 exit codes are 0 on success, 1 on usage or input errors, and 2 when a fit
 returned a best-effort, non-converged result.  Each command imports the
-modules it runs inside its handler, so ``eval`` and ``sample`` load no scipy.
+modules it runs inside its handler, so ``eval`` and ``sample`` load neither
+the fitting nor the quadrature modules.  No command loads scipy.
 """
 
 from __future__ import annotations

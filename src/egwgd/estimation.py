@@ -16,6 +16,11 @@ evaluation allocates no array of the data's length.  The public functions
 here (loglik, loglik_grad, profile_theta) run the same code with fresh
 arrays.  fit frees the workspace once its L-BFGS-B runs are done.
 
+The optimisers are the package's own (``optimize``): L-BFGS-B for the
+four-parameter search, and the ports of scipy's brentq and bounded Brent
+for the Weibull-shape anchor and the competitor fits, so a fit loads no
+scipy.  The Wald z comes from ``statistics.NormalDist``.
+
 The likelihood of this family is unbounded along degenerate spike ridges
 (b, d large) and improves toward the c -> 0 boundary closure on some data
 sets, so the optimizer works inside a documented parameter box; a terminus
@@ -29,10 +34,9 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.optimize import brentq, minimize
-from scipy.special import ndtri
 
 from . import distribution as dist
 from . import submodels
@@ -45,6 +49,7 @@ from .exceptions import (
     StencilError,
 )
 from .numerics import numerical_hessian
+from .optimize import brentq, minimize
 
 __all__ = [
     "Dataset",
@@ -194,7 +199,7 @@ def _grad(p: EgwgParams, x: np.ndarray, k: tuple, ws=None) -> np.ndarray:
 
     def sums(terms):
         """(sum of terms, sum of terms * log x)."""
-        return np.sum(terms), np.sum(np.multiply(terms, lnx, out=prod))
+        return terms.sum(), np.multiply(terms, lnx, out=prod).sum()
 
     with np.errstate(all="ignore"):
         # log(e^z - 1), carried as log z below z = e^-36
@@ -221,21 +226,21 @@ def _grad(p: EgwgParams, x: np.ndarray, k: tuple, ws=None) -> np.ndarray:
         w = np.divide(s, W, out=tmp)
         if any_under:
             np.copyto(w, b / (c * (b + d)), where=under)
-        S_wb = np.sum(w)
+        S_wb = w.sum()
         e_cs = np.exp(np.negative(cs, out=E), out=E)
         w = np.divide(np.multiply(s, np.add(d / b, e_cs, out=tmp), out=tmp), W, out=tmp)
         if any_under:
             np.copyto(w, 1.0 / c, where=under)
-        S_wc = np.sum(w)
+        S_wc = w.sum()
         np.multiply(np.multiply(b, e_cs, out=e_cs), lnx, out=e_cs)
         w = np.add(np.add(1.0, np.multiply(d, lnx, out=tmp), out=tmp), e_cs, out=tmp)
         np.divide(np.multiply(np.multiply(c / b, s, out=prod), w, out=w), W, out=w)
         if any_under:
             np.add(1.0 / (b + d), lnx, out=w, where=under)
-        S_wd = np.sum(w)
+        S_wd = w.sum()
 
         da = n / a - S_g + (th - 1.0) * S_tg
-        db = (n / b + np.sum(lnx) - a * S_glnx
+        db = (n / b + lnx.sum() - a * S_glnx
               + (th - 1.0) * a * S_tglnx
               - (c * d / b ** 2) * S_wb)
         dc = (S_s - a * S_xbsE
@@ -244,7 +249,7 @@ def _grad(p: EgwgParams, x: np.ndarray, k: tuple, ws=None) -> np.ndarray:
         dd = (c * S_slnx - a * c * S_xbsElnx
               + (th - 1.0) * a * c * S_tclnx
               + S_wd)
-        dth = n / th + np.sum(lnP)
+        dth = n / th + lnP.sum()
     return np.array([da, db, dc, dd, dth])
 
 
@@ -262,7 +267,7 @@ def profile_theta(a: float, b: float, c: float, d: float, data: Dataset) -> floa
 
 def _theta_hat(n: int, lnP: np.ndarray) -> float:
     """profile_theta from the kernel's log(1 - e^{-z}) column."""
-    ssum = float(np.sum(lnP))
+    ssum = float(lnP.sum())
     theta = -n / ssum if -math.inf < ssum < 0.0 else math.inf
     if not math.isfinite(theta):
         raise LeftTailUnderflowError("profile sum degenerate under floating point")
@@ -305,7 +310,7 @@ class _Objective:
                 p = EgwgParams(a, b, c, d, _theta_hat(self.data.n, k[6]))
             except LeftTailUnderflowError:
                 return _BIG, np.zeros(4)
-            ll = float(np.sum(dist._log_f(p, x, k, ws)[0]))
+            ll = float(dist._log_f(p, x, k, ws)[0].sum())
             if not math.isfinite(ll):   # the sentinel has no slope; a huge finite -L keeps its own
                 return _BIG, np.zeros(4)
             # envelope theorem: dL/dtheta = 0 at the profiled theta, so the
@@ -366,16 +371,18 @@ def _anchors(x: np.ndarray, n_restarts: int) -> list:
 def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     """Multistart maximum-likelihood fit with theta profiled out.
 
-    Each restart runs gradient-based L-BFGS-B, capped at
-    ``_LBFGSB_MAX_ITER`` iterations.  A terminus counts as converged when
-    its gradient, projected onto the feasible box, satisfies the
-    stationarity check.  Only when the endpoint fails that check does a
-    second L-BFGS-B run start from it, with a fresh curvature memory; the
-    better of the two endpoints is kept.  L-BFGS-B accepts only iterates
+    Each restart runs gradient-based L-BFGS-B (``optimize.minimize``, the
+    package's port of scipy's), capped at ``_LBFGSB_MAX_ITER`` iterations.
+    A terminus counts as converged when its gradient, projected onto the
+    feasible box, satisfies the stationarity check.  Only when the
+    endpoint fails that check does a second L-BFGS-B run start from it,
+    with a fresh curvature memory; the better of the two endpoints is kept.  L-BFGS-B accepts only iterates
     that pass its sufficient-decrease line search, so no endpoint is worse
     than its start.  The best converged terminus wins (ties resolve to the
     earliest restart).  If no restart converges the best point is returned
-    with converged = False, never a silent success.
+    with converged = False, never a silent success.  The reported
+    log-likelihood is the objective's value at the chosen terminus, which
+    is -loglik there bit for bit.
 
     One DEBUG record per restart goes to the ``egwgd.estimation`` logger:
     the L-BFGS-B evaluation count and message, the endpoint's largest
@@ -392,7 +399,7 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     bounds = list(zip(lb, ub))
 
     def lbfgsb(u):
-        return minimize(obj.value_grad, u, jac=True, method="L-BFGS-B", bounds=bounds,
+        return minimize(obj.value_grad, u, method="L-BFGS-B", bounds=bounds,
                         options={"maxiter": _LBFGSB_MAX_ITER, "ftol": 1e-14, "gtol": 1e-12})
 
     def stationarity(u, fu, gu):
@@ -437,7 +444,7 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     a, b, c, d = np.exp(best[1])
     theta = profile_theta(a, b, c, d, data)
     params = EgwgParams(a, b, c, d, theta)
-    ll = loglik(params, data)
+    ll = -float(best[0])   # the objective's value at the terminus is -loglik there
 
     # curvature can be uncomputable at a box-clamped terminus (a stencil may
     # step outside the positive orthant); report NaNs rather than fail
@@ -484,7 +491,7 @@ def confidence_intervals(fit_result: FitResult, level: float | None = None) -> d
     level = fit_result.level if level is None else float(level)
     if not (0.0 < level < 1.0):
         raise DomainError(f"confidence level must be in (0, 1), got {level}")
-    z = float(ndtri(0.5 + level / 2.0))
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     diag = np.diag(np.asarray(fit_result.covariance, dtype=float))
     est = [fit_result.params.a, fit_result.params.b, fit_result.params.c,
            fit_result.params.d, fit_result.params.theta]

@@ -8,9 +8,9 @@ return arrays.  Every integral is computed to one purely relative
 tolerance, 1e-10, within 2000 subintervals, and the engine raises typed
 errors instead of returning an estimate whose error bound misses it, so an
 integral whose value is zero raises.  Root finding closes its bracket with
-Brent's method (``scipy.optimize.brentq``), imported inside the function
-that calls it, so importing this module loads no scipy; this module owns
-the interval transformation, bracketing, error policy and stencil logic.
+Brent's method (the package's port of scipy's ``brentq`` in ``optimize``,
+imported inside the function that calls it); this module owns the interval
+transformation, bracketing, error policy and stencil logic.
 """
 
 from __future__ import annotations
@@ -246,7 +246,7 @@ def find_root_increasing(g: Callable[[float], float], target: float) -> float:
         return lo
     if fhi == 0.0:
         return hi
-    from scipy.optimize import brentq
+    from .optimize import brentq
 
     return brentq(h, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=256)
 

@@ -165,10 +165,8 @@ def order_stat_pdf(p: EgwgParams, i: int, n: int, x):
     i, n = int(i), int(n)
     if n < 1 or not (1 <= i <= n):
         raise DomainError(f"order statistic index out of range: i={i}, n={n}")
-    from scipy.special import gammaln
-
     lp, lf, scalar = dist._log_density(p, x)   # log f and log F from one kernel pass
-    pref = gammaln(n + 1) - gammaln(i) - gammaln(n - i + 1)
+    pref = math.lgamma(n + 1) - math.lgamma(i) - math.lgamma(n - i + 1)
     total = pref + lp
     # add the F / R powers only when their exponents are nonzero, so that an
     # underflowed log (-inf) cannot poison the i = 1 / i = n boundary cases

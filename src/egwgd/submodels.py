@@ -19,12 +19,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import distribution as dist
 from .distribution import EgwgParams
 from .exceptions import InvalidParametersError, NotEmbeddableError
 from .numerics import numerical_hessian
+from .optimize import minimize_scalar_bounded
 
 __all__ = [
     "SubModelSpec",
@@ -218,9 +218,7 @@ def competitor_loglik(spec: CompetitorSpec, values) -> float:
 # ---------------------------------------------------------------------------
 
 def _opt_scalar(negl, lo, hi):
-    r = minimize_scalar(negl, bounds=(lo, hi), method="bounded",
-                        options={"xatol": 1e-12})
-    return float(r.x)
+    return float(minimize_scalar_bounded(negl, lo, hi, xatol=1e-12))
 
 
 def fit_competitor(kind: str, values) -> CompetitorSpec:
