@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,26 +89,43 @@ class _Workspace:
 
     log x is computed once.  Every other array is made on first use under
     the name its function gives it, and each pass rewrites all of its
-    elements, so no value survives from the pass before.  The kernel
-    functions take ``ws=None`` from the public evaluators and then make
-    fresh arrays.
+    elements, so no value survives from the pass before.  The arrays are
+    shaped like x, or (k, n) after ``rows(k)``, when a pass evaluates k > 1
+    laws given as (k, 1) parameter columns, one law per row (see _Laws).
+    The kernel functions take ``ws=None`` from the public evaluators and
+    then make fresh arrays.
     """
 
     def __init__(self, x: np.ndarray):
         self.x = x
         self.lnx = np.log(x)
-        self._arrays = {}
+        self._k = self._cap = 1
+        self._full = {}        # name -> (cap, n) array, cap the most laws a pass has had
+        self._arrays = {}      # name -> its view for the current pass
         self._clamped = None
 
+    def rows(self, k: int) -> None:
+        """Shape the arrays for a pass of k laws: (k, n), or like x for one law."""
+        if k == self._k:
+            return
+        if k > self._cap:
+            self._full, self._cap = {}, k
+        self._k = k
+        self._arrays = {name: self._view(a) for name, a in self._full.items()}
+
+    def _view(self, a: np.ndarray) -> np.ndarray:
+        return a[0] if self._k == 1 else a[:self._k]
+
     def array(self, name: str, dtype=float) -> np.ndarray:
-        """The array called name, shaped like x (made on first use)."""
+        """The array called name, of the current shape (made on first use)."""
         out = self._arrays.get(name)
         if out is None:
-            out = self._arrays[name] = np.empty(self.x.shape, dtype)
+            a = self._full[name] = np.empty((self._cap, self.x.size), dtype)
+            out = self._arrays[name] = self._view(a)
         return out
 
     def clamped(self, lo: float) -> "_Workspace":
-        """The workspace over max(x, lo), whose arrays are apart from these."""
+        """The workspace over max(x, lo), shaped like x, whose arrays are apart from these."""
         ws = self._clamped
         if ws is None:
             ws = self._clamped = _Workspace(np.maximum(self.x, lo))
@@ -117,14 +135,54 @@ class _Workspace:
         return ws
 
 
+class _Laws(NamedTuple):
+    """k laws as (k, 1) parameter columns: the rows of one fit-objective pass.
+
+    The kernel functions take these in place of one law's floats and then
+    work on a workspace's (k, n) arrays.  Each row comes out bit for bit as
+    its own law alone would give it: every array operation acts on each
+    element alone, and the per-law scalars that are not plain arithmetic
+    (logarithms, the x ** 0.5 rule, the theta < 1 clamp) are taken row by
+    row as for one law.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    theta: np.ndarray
+
+    def law(self, i: int) -> EgwgParams:
+        return EgwgParams(*(v[i, 0] for v in self))
+
+
 def _scratch(ws, name: str, like: np.ndarray, dtype=float) -> np.ndarray:
     """ws's array called name, or a fresh array shaped like `like` when ws is None."""
     return np.empty(like.shape, dtype) if ws is None else ws.array(name, dtype)
 
 
+def _log(v):
+    """math.log of a float, or of each entry of a (k, 1) column, row by row.
+
+    numpy's log may differ from the C library's in the last bit, so a
+    column's rows take the one-law path's function.
+    """
+    if isinstance(v, np.ndarray):
+        return np.array([[math.log(t)] for t in v[:, 0]])
+    return math.log(v)
+
+
 def _power(x: np.ndarray, d, out: np.ndarray) -> np.ndarray:
-    """x ** d written into out; numpy's ``x ** 0.5`` is sqrt, so that exponent is too."""
-    return np.sqrt(x, out=out) if d == 0.5 else np.power(x, d, out=out)
+    """x ** d written into out; numpy's ``x ** 0.5`` is sqrt, so that exponent is too.
+
+    A (k, 1) column d writes row i of out from d[i], with the same rule.
+    """
+    if not isinstance(d, np.ndarray):
+        return np.sqrt(x, out=out) if d == 0.5 else np.power(x, d, out=out)
+    np.power(x, d, out=out)
+    for i in np.flatnonzero(d[:, 0] == 0.5):
+        np.sqrt(x, out=out[i])
+    return out
 
 
 def _log_expm1(y, logy=None, out=None, ws=None):
@@ -157,6 +215,7 @@ def _inner(a: float, b: float, c: float, d: float, x, ws=None):
     Where c*s underflows to 0, log(e^{c s} - 1) is carried as log c + d log x,
     so log z stays finite wherever it is representable, as does log(1 - e^{-z}).
     With a _Workspace ws over x, log x is ws's and every result is one of its arrays.
+    a, b, c and d may be (k, 1) columns of k laws (see _Laws); ws's arrays are then (k, n).
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", divide="ignore"):
@@ -169,9 +228,9 @@ def _inner(a: float, b: float, c: float, d: float, x, ws=None):
         under = np.equal(cs, 0.0, out=_scratch(ws, "mask", x, bool))
         if under.any():
             np.multiply(d, lnx, out=lg, where=under)
-            np.add(math.log(c), lg, out=lg, where=under)
+            np.add(_log(c), lg, out=lg, where=under)
             np.add(blnx, lg, out=lg, where=under)
-        logz = np.add(math.log(a), lg, out=_scratch(ws, "logz", x))
+        logz = np.add(_log(a), lg, out=_scratch(ws, "logz", x))
         z = np.exp(logz, out=_scratch(ws, "z", x))
         # log(1 - e^{-z}) is log1p(-e^{-z}) above z = ln 2 and log(-expm1(-z))
         # up to it; below z = 1.1e-16 it equals log z to 1 ulp
@@ -240,7 +299,7 @@ def survival(p: EgwgParams, x):
     return _ret(-np.expm1(lf), scalar)
 
 
-def _log_f(p: EgwgParams, xs: np.ndarray, k: tuple, ws=None) -> tuple[np.ndarray, np.ndarray]:
+def _log_f(p, xs: np.ndarray, k: tuple, ws=None) -> tuple[np.ndarray, np.ndarray]:
     """(log f, unclamped log F) at the points xs > 0, given their kernel k = _inner(..., xs, ws).
 
     Uses the rewrite a*b*x^{b-1}*(1 + (c d / b) x^d - e^{-c x^d})
@@ -248,28 +307,55 @@ def _log_f(p: EgwgParams, xs: np.ndarray, k: tuple, ws=None) -> tuple[np.ndarray
     limit directly instead of producing 0 * inf.  For theta < 1, where f
     blows up as x -> 0+, log f is clamped at the point where F = 1e-300;
     only then is the kernel evaluated a second time, at the clamped points
-    (given ws, in its clamped workspace, so that k stays intact).
+    (given ws, in its clamped workspace, so that k stays intact).  p is one
+    law, or k laws as _Laws columns over ws's (k, n) arrays; a row that
+    needs the clamp gets it alone, as its law would.
     """
-    lnx, s, cs, _, _, z, l1mez = k
-    log_F = np.multiply(p.theta, l1mez, out=_scratch(ws, "log_F", xs))
-    if p.theta < 1.0 and np.less(log_F, _LOG_TINY, out=_scratch(ws, "mask", xs, bool)).any():
-        try:
-            lo = quantile(p, 1e-300)
-        except BracketError:   # no clamp below the float range
-            pass
-        else:
+    log_F = np.multiply(p.theta, k[6], out=_scratch(ws, "log_F", xs))
+    out = _scratch(ws, "log_f", xs)
+
+    def tiny():
+        return np.less(log_F, _LOG_TINY, out=_scratch(ws, "log_F.tiny", xs, bool))
+
+    if not isinstance(p, _Laws):
+        lo = _clamp_point(p) if p.theta < 1.0 and tiny().any() else None
+        if lo is not None:
             if ws is None:
                 xs = np.maximum(xs, lo)
             else:
                 ws = ws.clamped(lo)
                 xs = ws.x
-            lnx, s, cs, _, _, z, l1mez = _inner(p.a, p.b, p.c, p.d, xs, ws=ws)
-    t = _scratch(ws, "t", xs)
-    mask = _scratch(ws, "mask", xs, bool)
-    out = _scratch(ws, "log_f", xs)
+            k = _inner(p.a, p.b, p.c, p.d, xs, ws=ws)
+        return _log_f_terms(p, k, ws, out), log_F
+    _log_f_terms(p, k, ws, out)
+    clamp = p.theta[:, 0] < 1.0
+    if clamp.any():
+        clamp &= tiny().any(axis=1)
+    for i in np.flatnonzero(clamp):
+        q = p.law(i)
+        lo = _clamp_point(q)
+        if lo is not None:
+            cws = ws.clamped(lo)
+            _log_f_terms(q, _inner(q.a, q.b, q.c, q.d, cws.x, ws=cws), cws, out[i])
+    return out, log_F
+
+
+def _clamp_point(p: EgwgParams) -> float | None:
+    """x where F = 1e-300, below which log f is clamped; None below the float range."""
+    try:
+        return quantile(p, 1e-300)
+    except BracketError:
+        return None
+
+
+def _log_f_terms(p, k: tuple, ws, out: np.ndarray) -> np.ndarray:
+    """log f from the kernel k, written into out (see _log_f); ws lends the scratch arrays."""
+    lnx, s, cs, _, _, z, l1mez = k
+    t = _scratch(ws, "t", out)
+    mask = _scratch(ws, "mask", out, bool)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # log w = log(b (1 - e^{-c x^d}) + c d x^d)
-        logw = np.negative(cs, out=_scratch(ws, "logw", xs))
+        logw = np.negative(cs, out=_scratch(ws, "logw", out))
         np.negative(np.expm1(logw, out=logw), out=logw)
         np.add(np.multiply(p.b, logw, out=logw), np.multiply(p.c * p.d, s, out=t), out=logw)
         np.log(logw, out=logw)
@@ -277,17 +363,17 @@ def _log_f(p: EgwgParams, xs: np.ndarray, k: tuple, ws=None) -> tuple[np.ndarray
         if under.any():
             # where c x^d underflows, w = (b + d) c x^d to within a factor 1 + c x^d
             np.multiply(p.d, lnx, out=logw, where=under)
-            np.add(math.log(p.c), logw, out=logw, where=under)
-            np.add(logw, math.log(p.b + p.d), out=logw, where=under)
+            np.add(_log(p.c), logw, out=logw, where=under)
+            np.add(logw, _log(p.b + p.d), out=logw, where=under)
         # log a + log theta + (b - 1) log x + c x^d - z + log w + (theta - 1) log(1 - e^{-z})
-        np.add(math.log(p.a) + math.log(p.theta), np.multiply(p.b - 1.0, lnx, out=out), out=out)
+        np.add(_log(p.a) + _log(p.theta), np.multiply(p.b - 1.0, lnx, out=out), out=out)
         np.add(out, cs, out=out)
         np.subtract(out, z, out=out)
         np.add(out, logw, out=out)
         np.add(out, np.multiply(p.theta - 1.0, l1mez, out=t), out=out)
     # deep right tail: cs - z -> -inf, not inf - inf
     np.copyto(out, -np.inf, where=np.isnan(out, out=mask))
-    return np.minimum(out, _LOG_MAX, out=out), log_F
+    return np.minimum(out, _LOG_MAX, out=out)
 
 
 def _log_density(p: EgwgParams, x) -> tuple[np.ndarray, np.ndarray, bool]:

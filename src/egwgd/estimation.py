@@ -14,7 +14,16 @@ _Workspace): log x is computed once, and the kernel, log f and the
 gradient write every intermediate into the workspace's arrays, so an
 evaluation allocates no array of the data's length.  The public functions
 here (loglik, loglik_grad, profile_theta) run the same code with fresh
-arrays.  fit frees the workspace once its L-BFGS-B runs are done.
+arrays, and the curvature step runs loglik's in a workspace of its own.
+fit frees the objective's workspace once its L-BFGS-B runs are done.
+
+The fit's restarts run in lock-step, and each round the objective
+evaluates the point of every unfinished run as one row of a single kernel
+pass: the kernel takes k laws as parameter columns over (k, n) arrays
+(distribution's _Laws), and each row comes out bit for bit as that law
+alone gives it.  At the small n of typical lifetime data an evaluation's
+cost is numpy's per-call overhead, which the rows then share; each run
+still makes exactly the iterations it would make alone.
 
 The optimisers are the package's own (``optimize``): L-BFGS-B for the
 four-parameter search, and the ports of scipy's brentq and bounded Brent
@@ -49,7 +58,8 @@ from .exceptions import (
     StencilError,
 )
 from .numerics import numerical_hessian
-from .optimize import brentq, minimize
+from .optimize import _lbfgsb, brentq
+from .optimize import minimize  # noqa: F401  (perfbench's tracer wraps this name)
 
 __all__ = [
     "Dataset",
@@ -163,12 +173,16 @@ def loglik(p: EgwgParams, data: Dataset) -> float:
     Requires b > 0: the b = 0 sub-families carry their own standalone
     likelihoods (see the competitor evaluators).
     """
+    return _loglik(p, data.values)
+
+
+def _loglik(p: EgwgParams, x: np.ndarray, ws=None) -> float:
+    """loglik over the points x > 0; ws, a workspace over x, lends its arrays."""
     if p.b <= 0.0:
         raise InvalidParametersError(
             "the full-family likelihood requires b > 0; use a sub-model likelihood for b = 0")
     with np.errstate(all="ignore"):
-        lp = np.atleast_1d(dist.log_pdf(p, data.values))
-    total = float(np.sum(lp))
+        total = float(dist._log_f(p, x, dist._inner(p.a, p.b, p.c, p.d, x, ws=ws), ws)[0].sum())
     return total if math.isfinite(total) else -math.inf
 
 
@@ -185,10 +199,15 @@ def loglik_grad(p: EgwgParams, data: Dataset) -> np.ndarray:
     return _grad(p, x, dist._inner(p.a, p.b, p.c, p.d, x))
 
 
-def _grad(p: EgwgParams, x: np.ndarray, k: tuple, ws=None) -> np.ndarray:
+def _grad(p, x: np.ndarray, k: tuple, ws=None) -> np.ndarray:
     """loglik_grad at p from the kernel k = dist._inner(a, b, c, d, x, ws).
 
-    The terms of each sum are formed in ws's arrays (fresh ones when ws is None).
+    The terms of each sum are formed in ws's arrays (fresh ones when ws is
+    None).  p may be k laws as dist._Laws columns over ws's (k, n) arrays;
+    the result is then (k, 5), row i the gradient of law i bit for bit: the
+    sums run along each row, and the assembly below is plain arithmetic,
+    which rounds the same on numpy's arrays as on floats, but for b ** 2,
+    which is taken row by row.
     """
     n = x.size
     a, b, c, d, th = p.a, p.b, p.c, p.d, p.theta
@@ -196,10 +215,15 @@ def _grad(p: EgwgParams, x: np.ndarray, k: tuple, ws=None) -> np.ndarray:
     tmp = dist._scratch(ws, "t", x)
     prod = dist._scratch(ws, "grad.prod", x)
     mask = dist._scratch(ws, "mask", x, bool)
+    rows = isinstance(p, dist._Laws)
+
+    def total(terms):
+        """The sum of terms, one per row."""
+        return terms.sum(axis=1, keepdims=True) if rows else terms.sum()
 
     def sums(terms):
         """(sum of terms, sum of terms * log x)."""
-        return terms.sum(), np.multiply(terms, lnx, out=prod).sum()
+        return total(terms), total(np.multiply(terms, lnx, out=prod))
 
     with np.errstate(all="ignore"):
         # log(e^z - 1), carried as log z below z = e^-36
@@ -226,31 +250,32 @@ def _grad(p: EgwgParams, x: np.ndarray, k: tuple, ws=None) -> np.ndarray:
         w = np.divide(s, W, out=tmp)
         if any_under:
             np.copyto(w, b / (c * (b + d)), where=under)
-        S_wb = w.sum()
+        S_wb = total(w)
         e_cs = np.exp(np.negative(cs, out=E), out=E)
         w = np.divide(np.multiply(s, np.add(d / b, e_cs, out=tmp), out=tmp), W, out=tmp)
         if any_under:
             np.copyto(w, 1.0 / c, where=under)
-        S_wc = w.sum()
+        S_wc = total(w)
         np.multiply(np.multiply(b, e_cs, out=e_cs), lnx, out=e_cs)
         w = np.add(np.add(1.0, np.multiply(d, lnx, out=tmp), out=tmp), e_cs, out=tmp)
         np.divide(np.multiply(np.multiply(c / b, s, out=prod), w, out=w), W, out=w)
         if any_under:
             np.add(1.0 / (b + d), lnx, out=w, where=under)
-        S_wd = w.sum()
+        S_wd = total(w)
 
+        b2 = np.array([[v ** 2] for v in b[:, 0]]) if rows else b ** 2
         da = n / a - S_g + (th - 1.0) * S_tg
         db = (n / b + lnx.sum() - a * S_glnx
               + (th - 1.0) * a * S_tglnx
-              - (c * d / b ** 2) * S_wb)
+              - (c * d / b2) * S_wb)
         dc = (S_s - a * S_xbsE
               + (th - 1.0) * a * S_tc
               + S_wc)
         dd = (c * S_slnx - a * c * S_xbsElnx
               + (th - 1.0) * a * c * S_tclnx
               + S_wd)
-        dth = n / th + lnP.sum()
-    return np.array([da, db, dc, dd, dth])
+        dth = n / th + total(lnP)
+    return np.hstack([da, db, dc, dd, dth]) if rows else np.array([da, db, dc, dd, dth])
 
 
 def profile_theta(a: float, b: float, c: float, d: float, data: Dataset) -> float:
@@ -262,16 +287,16 @@ def profile_theta(a: float, b: float, c: float, d: float, data: Dataset) -> floa
     if min(a, b, c, d) <= 0.0:
         raise InvalidParametersError("profile_theta requires a, b, c, d > 0")
     with np.errstate(all="ignore"):
-        return _theta_hat(data.n, dist._inner(a, b, c, d, data.values)[6])
-
-
-def _theta_hat(n: int, lnP: np.ndarray) -> float:
-    """profile_theta from the kernel's log(1 - e^{-z}) column."""
-    ssum = float(lnP.sum())
-    theta = -n / ssum if -math.inf < ssum < 0.0 else math.inf
+        theta = _theta_hat(data.n, dist._inner(a, b, c, d, data.values)[6].sum())
     if not math.isfinite(theta):
         raise LeftTailUnderflowError("profile sum degenerate under floating point")
     return theta
+
+
+def _theta_hat(n: int, ssum) -> float:
+    """profile_theta from the sum of the kernel's log(1 - e^{-z}) column; inf where it is degenerate."""
+    ssum = float(ssum)
+    return -n / ssum if -math.inf < ssum < 0.0 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +306,7 @@ def _theta_hat(n: int, lnP: np.ndarray) -> float:
 _BIG = 1e13
 _STATIONARITY_SCALE = 1e-4   # converged: max |projected grad| <= scale * max(1, |L|)
 _LBFGSB_MAX_ITER = 500       # caps each L-BFGS-B run: the first and the retry
+_PASS_POINTS = 2 ** 14       # a kernel pass holds at most max(1, this // n) rows of n points
 
 
 class _Objective:
@@ -288,28 +314,49 @@ class _Objective:
 
     The value at u is exactly -loglik at (a, b, c, d, profile_theta(...)),
     or _BIG where theta cannot be profiled or the likelihood is -inf.
-    Every evaluation writes into one workspace over the data (log x,
-    computed once, and the kernel's, log f's and the gradient's arrays), so
-    it allocates no array of the data's length.
+    value_grad takes one point or a (k, 4) block of points, whose rows are
+    evaluated together, max(1, _PASS_POINTS // n) rows per kernel pass, and
+    come out bit for bit as each point alone would (see dist._Laws).  A pass
+    of one row takes the one-point path, a law of floats over 1-D arrays,
+    whose numpy calls cost least; it is also what the rows of a block are
+    tested against.  Every pass writes into one workspace over the data (log x, computed once, and
+    the kernel's, log f's and the gradient's arrays), so after the first
+    pass of a size an evaluation allocates no array of the data's length.
     """
 
     def __init__(self, data: Dataset):
         self.data = data
         self.ws = dist._Workspace(data.values)
+        self.pass_rows = max(1, _PASS_POINTS // data.n)
         self.n_evals = 0
 
     def value_grad(self, u: np.ndarray):
-        """(f, df/du) from one dist._inner pass (two where log_pdf's theta < 1 clamp acts)."""
+        """(f, df/du) at the point u; at a (k, 4) block, f of shape (k,) and df/du (k, 4)."""
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 1:
+            return self._one(u)
+        f = np.empty(len(u))
+        g = np.empty((len(u), 4))
+        for i in range(0, len(u), self.pass_rows):
+            block = u[i:i + self.pass_rows]
+            f[i:i + len(block)], g[i:i + len(block)] = (
+                self._block(block) if len(block) > 1 else self._one(block[0]))
+        return f, g
+
+    def _one(self, u: np.ndarray):
+        """(f, df/du) at one point from one dist._inner pass (two where log_pdf's
+        theta < 1 clamp acts), with floats for the law over 1-D arrays."""
         self.n_evals += 1
         a, b, c, d = np.exp(u)
         ws = self.ws
+        ws.rows(1)
         x = ws.x
         with np.errstate(all="ignore"):
             k = dist._inner(a, b, c, d, x, ws=ws)
-            try:
-                p = EgwgParams(a, b, c, d, _theta_hat(self.data.n, k[6]))
-            except LeftTailUnderflowError:
+            theta = _theta_hat(self.data.n, k[6].sum())
+            if not math.isfinite(theta):
                 return _BIG, np.zeros(4)
+            p = EgwgParams(a, b, c, d, theta)
             ll = float(dist._log_f(p, x, k, ws)[0].sum())
             if not math.isfinite(ll):   # the sentinel has no slope; a huge finite -L keeps its own
                 return _BIG, np.zeros(4)
@@ -317,6 +364,29 @@ class _Objective:
             # profiled gradient is the partial gradient; chain rule to log space
             gu = -_grad(p, x, k, ws)[:4] * np.exp(u)
         return -ll, (gu if np.all(np.isfinite(gu)) else np.zeros(4))
+
+    def _block(self, u: np.ndarray):
+        """_one at each of the k > 1 rows of u, bit for bit, from one
+        dist._inner pass over (k, n) arrays (plus one for each row that the
+        clamp acts on)."""
+        self.n_evals += len(u)
+        ws = self.ws
+        ws.rows(len(u))
+        x = ws.x
+        P = np.exp(u)
+        a, b, c, d = P.T[:, :, None]
+        with np.errstate(all="ignore"):
+            k = dist._inner(a, b, c, d, x, ws=ws)
+            theta = np.array([_theta_hat(self.data.n, v) for v in k[6].sum(axis=1)])
+            tenable = np.isfinite(theta)
+            theta[~tenable] = 1.0   # an untenable row is evaluated at theta = 1 and set aside below
+            p = dist._Laws(a, b, c, d, theta[:, None])
+            f = -dist._log_f(p, x, k, ws)[0].sum(axis=1)
+            g = -_grad(p, x, k, ws)[:, :4] * P
+        sentinel = ~(tenable & np.isfinite(f))
+        f[sentinel] = _BIG
+        g[sentinel | ~np.isfinite(g).all(axis=1)] = 0.0
+        return f, g
 
 
 def _weibull_shape(x: np.ndarray) -> float:
@@ -371,7 +441,7 @@ def _anchors(x: np.ndarray, n_restarts: int) -> list:
 def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     """Multistart maximum-likelihood fit with theta profiled out.
 
-    Each restart runs gradient-based L-BFGS-B (``optimize.minimize``, the
+    Each restart runs gradient-based L-BFGS-B (``optimize._lbfgsb``, the
     package's port of scipy's), capped at ``_LBFGSB_MAX_ITER`` iterations.
     A terminus counts as converged when its gradient, projected onto the
     feasible box, satisfies the stationarity check.  Only when the
@@ -383,6 +453,12 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     with converged = False, never a silent success.  The reported
     log-likelihood is the objective's value at the chosen terminus, which
     is -loglik there bit for bit.
+
+    The runs go in lock-step: each round, the point that every unfinished
+    run asks for is a row of one objective block (see _Objective), and a
+    retry joins the round after its first run ends.  Each run follows the
+    path it would follow alone, evaluation for evaluation; only the
+    per-call overhead is shared.
 
     One DEBUG record per restart goes to the ``egwgd.estimation`` logger:
     the L-BFGS-B evaluation count and message, the endpoint's largest
@@ -396,11 +472,6 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     obj = _Objective(data)
     lb = np.log([b[0] for b in cfg.box])
     ub = np.log([b[1] for b in cfg.box])
-    bounds = list(zip(lb, ub))
-
-    def lbfgsb(u):
-        return minimize(obj.value_grad, u, method="L-BFGS-B", bounds=bounds,
-                        options={"maxiter": _LBFGSB_MAX_ITER, "ftol": 1e-14, "gtol": 1e-12})
 
     def stationarity(u, fu, gu):
         """(max |projected gradient|, whether it passes the stationarity test)."""
@@ -412,24 +483,47 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
         pg = float(np.max(np.abs(proj)))
         return pg, bool(fu < _BIG and pg <= _STATIONARITY_SCALE * max(1.0, abs(fu)))
 
+    runs = []      # per restart: [first run's result, retry's result or None]
+    active = []    # (restart index, run, the point it asks for)
+
+    def start(k, u0):
+        run = _lbfgsb(u0, lb.tolist(), ub.tolist(), maxiter=_LBFGSB_MAX_ITER,
+                      ftol=1e-14, gtol=1e-12)
+        active.append((k, run, next(run)))
+
+    for k, anchor in enumerate(_anchors(x, cfg.n_restarts)):
+        runs.append([None, None])
+        start(k, np.clip(np.log(anchor), lb, ub))
+    while active:
+        f, g = obj.value_grad(np.array([u for _, _, u in active]))
+        asking, active = active, []
+        for (k, run, _), fk, gk in zip(asking, f, g):
+            try:
+                active.append((k, run, run.send((fk, gk))))
+            except StopIteration as done:
+                if runs[k][0] is None:
+                    runs[k][0] = r1 = done.value
+                    if not stationarity(r1.x, r1.fun, r1.jac)[1]:
+                        # one fresh L-BFGS-B run from the endpoint, with no curvature memory
+                        start(k, r1.x)
+                else:
+                    runs[k][1] = done.value
+    n_evals = obj.n_evals
+    del obj   # frees the objective's workspace before the curvature
+
     termini = []
-    for k, anchor in enumerate(_anchors(x, cfg.n_restarts), start=1):
-        r1 = lbfgsb(np.clip(np.log(anchor), lb, ub))
+    for k, (r1, r2) in enumerate(runs, start=1):
         pg1, stat1 = stationarity(r1.x, r1.fun, r1.jac)
         fu, u, stat = r1.fun, r1.x, stat1
-        if stat1:
+        if r2 is None:
             retry = "retry skipped"
         else:
-            # one fresh L-BFGS-B run from the endpoint, with no curvature memory
-            r2 = lbfgsb(r1.x)
             if r2.fun < fu:
                 fu, u, stat = r2.fun, r2.x, stationarity(r2.x, r2.fun, r2.jac)[1]
             retry = f"retry ran: nfev={r2.nfev} ({r2.message})"
         _log.debug("restart %d: L-BFGS-B nfev=%d (%s), max projected gradient %.3g; %s",
                    k, r1.nfev, r1.message, pg1, retry)
         termini.append((fu, u, stat))
-    n_evals = obj.n_evals
-    del obj   # frees the objective's workspace before the curvature
 
     converged_termini = [t for t in termini if t[2]]
     pool = converged_termini if converged_termini else termini
@@ -471,13 +565,18 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
 
 
 def observed_information(p: EgwgParams, data: Dataset) -> np.ndarray:
-    """Negative numerical Hessian of the log-likelihood at p (5 x 5)."""
+    """Negative numerical Hessian of the log-likelihood at p (5 x 5).
+
+    The stencil's log-likelihoods are evaluated in one workspace over the
+    data, each one loglik at its point bit for bit.
+    """
     if min(p.a, p.b, p.c, p.d, p.theta) <= 0.0:
         raise InvalidParametersError("observed information requires a strictly interior point")
     point = np.array([p.a, p.b, p.c, p.d, p.theta])
+    ws = dist._Workspace(data.values)
 
     def L(v):
-        return loglik(EgwgParams(*v), data)
+        return _loglik(EgwgParams(*v), ws.x, ws)
 
     return -numerical_hessian(L, point)
 

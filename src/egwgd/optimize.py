@@ -21,6 +21,12 @@ return scipy's results bit for bit.  The ports follow scipy (BSD-3-Clause,
 Copyright (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy Developers)
 and MINPACK-2 (Argonne National Laboratory, More & Thuente).
 
+An L-BFGS-B run is a generator (``_lbfgsb``): it yields each point it
+needs evaluated and is sent the objective's value and gradient there, so
+the caller decides how points are evaluated.  ``minimize`` drives one run
+with a function; ``estimation.fit`` drives its restarts in lock-step and
+evaluates their points together.
+
 Nothing here is public API: ``estimation`` and ``submodels`` import it,
 and ``numerics.find_root_increasing`` imports ``brentq`` when it runs.
 """
@@ -41,7 +47,7 @@ _EPS = float(np.finfo(float).eps)
 # ---------------------------------------------------------------------------
 
 def minimize(fun, x0, method=None, bounds=None, options=None):
-    """Minimise ``fun`` over a box with L-BFGS-B.
+    """Minimise ``fun`` over a box with L-BFGS-B: one run of ``_lbfgsb``, driven.
 
     ``fun(x)`` returns ``(f, gradient)``.  ``bounds`` gives a finite
     ``(lo, hi)`` pair with lo < hi for every variable, and x0 is clipped
@@ -49,8 +55,8 @@ def minimize(fun, x0, method=None, bounds=None, options=None):
     ``ftol`` (2.2e-9) and ``gtol`` (1e-5), with scipy's meanings.
     ``method`` must be "L-BFGS-B".  It exists only for perfbench's tracer,
     which replaces ``estimation.minimize`` and files each run under the
-    method it names; it can go once the tracer stops doing so (ROADMAP
-    direction 1).
+    method it names; ``estimation.fit`` drives its runs itself, so the
+    tracer's L-BFGS-B stage counts no longer see them (ROADMAP direction 1).
 
     Returns a namespace with ``x``, ``fun`` and ``jac`` (the objective's own
     value and gradient at x), ``nfev`` (objective calls), ``nit`` (accepted
@@ -62,10 +68,23 @@ def minimize(fun, x0, method=None, bounds=None, options=None):
     hi = [float(b[1]) for b in bounds]
     if len(lo) != len(x0) or not all(-math.inf < l < h < math.inf for l, h in zip(lo, hi)):
         raise ValueError("bounds must be one finite (lo, hi) pair with lo < hi per variable")
-    return _lbfgsb(fun, x0, lo, hi, **(options or {}))
+    run = _lbfgsb(x0, lo, hi, **(options or {}))
+    x = next(run)
+    while True:
+        try:
+            x = run.send(fun(x))
+        except StopIteration as done:
+            return done.value
 
 
-def _lbfgsb(fun, x0, lo, hi, maxiter=15000, ftol=2.220446049250313e-09, gtol=1e-5):
+def _lbfgsb(x0, lo, hi, maxiter=15000, ftol=2.220446049250313e-09, gtol=1e-5):
+    """One L-BFGS-B run as a generator (see minimize for the arguments).
+
+    It yields each point it needs evaluated, as an array, and is sent back
+    ``(f, gradient)`` there; it returns minimize's namespace.  Whoever
+    drives it decides how the points are evaluated: ``estimation.fit``
+    evaluates the points of all its runs together.
+    """
     n = len(lo)
     maxfun, maxls = 15000, 20
     tol = ftol / _EPS * _EPS           # scipy's factr * epsmch
@@ -77,13 +96,13 @@ def _lbfgsb(fun, x0, lo, hi, maxiter=15000, ftol=2.220446049250313e-09, gtol=1e-
         # like scipy, a point equal to the one evaluated last is not evaluated again
         nonlocal nfev, last
         if last is None or x != last[0]:
-            f, g = fun(np.array(x))
+            f, g = yield np.array(x)
             nfev += 1
             g = np.asarray(g, dtype=float)
             last = (x, float(f), g.tolist(), g)
         return last
 
-    x, f, g, jac = evaluate(x)
+    x, f, g, jac = yield from evaluate(x)
     iwhere = [0] * n
     memory = _Memory(n)
     nit = 0
@@ -127,7 +146,7 @@ def _lbfgsb(fun, x0, lo, hi, maxiter=15000, ftol=2.220446049250313e-09, gtol=1e-
         if search is not None and not search.error:
             for _ in range(maxls):
                 x = z if stp == 1.0 else [stp * di + xi for di, xi in zip(d, xk)]
-                x, f, g, jac = evaluate(x)
+                x, f, g, jac = yield from evaluate(x)
                 gd = sum(map(mul, g, d))
                 stp, ok = search(stp, f, gd)
                 if ok:

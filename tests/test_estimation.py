@@ -1,3 +1,4 @@
+import functools
 import json
 import logging
 import math
@@ -35,6 +36,7 @@ from egwgd.exceptions import (
     InvalidParametersError,
     LeftTailUnderflowError,
 )
+from egwgd.optimize import minimize
 from egwgd.submodels import CompetitorSpec, competitor_covariance, fit_competitor
 from conftest import PRINTED_MLE, RECOVERY_TRUTH, random_params
 
@@ -65,31 +67,37 @@ BIG_SAMPLE = Dataset(dist._batch_quantile(RECOVERY_TRUTH, (np.arange(20000) + 0.
 
 
 def _spy_stages(monkeypatch):
-    """Record every optimiser stage fit runs, in call order, as (x0, result)."""
+    """Record every L-BFGS-B run fit starts, in start order, as [x0, result].
+
+    fit runs its restarts in lock-step as generators (``optimize._lbfgsb``),
+    so the spy wraps that seam; each record gets its result when its run ends.
+    """
     calls = []
-    real = estimation.minimize
+    real = estimation._lbfgsb
 
-    def spy(fun, x0, *args, method=None, **kwargs):
-        assert method == "L-BFGS-B"
-        r = real(fun, x0, *args, method=method, **kwargs)
-        calls.append((np.array(x0), r))
-        return r
+    def spy(x0, *args, **kwargs):
+        rec = [np.array(x0), None]
+        calls.append(rec)
+        rec[1] = yield from real(x0, *args, **kwargs)
+        return rec[1]
 
-    monkeypatch.setattr(estimation, "minimize", spy)
+    monkeypatch.setattr(estimation, "_lbfgsb", spy)
     return calls
 
 
 def _by_restart(calls):
-    """[(first L-BFGS-B result, retry result or None)] per restart.
+    """[(first L-BFGS-B result, retry result or None)] per restart, in restart order.
 
-    A retry is the L-BFGS-B run that starts where the one before it ended.
+    A retry is the L-BFGS-B run that starts where an earlier first run
+    ended; the first runs start in restart order.
     """
     out = []
     for x0, r in calls:
-        if out and out[-1][1] is None and np.array_equal(x0, out[-1][0].x):
-            out[-1][1] = r
-        else:
+        first = next((t for t in out if t[1] is None and np.array_equal(x0, t[0].x)), None)
+        if first is None:
             out.append([r, None])
+        else:
+            first[1] = r
     return [tuple(t) for t in out]
 
 
@@ -257,6 +265,48 @@ class TestProfileTheta:
             assert loglik(EgwgParams(a, b, c, d, float(th)), aarset_data) <= best + 1e-9
 
 
+# a point of the search box, u = log(a, b, c, d)
+BOX_POINTS = st.tuples(*(st.floats(lo, hi) for lo, hi in np.log(FitConfig().box)))
+
+
+@functools.cache
+def _edge_rows(name):
+    """Fixed points for the block property on AARSET ("aarset") or
+    CLAMP_SAMPLE ("clamp"): one with d = 0.5; one where numpy's log of a
+    differs from math.log's and numpy's square of b from a float's b ** 2,
+    rare points where a row must not take numpy's function for a law's scalar;
+    one where the objective is _BIG and, on CLAMP_SAMPLE, two where
+    log_pdf's theta < 1 clamp acts and c x^d underflows."""
+    data = Dataset(AARSET) if name == "aarset" else CLAMP_SAMPLE
+    obj = _Objective(data)
+    rows = [np.log([0.01, 0.5, 0.3, 0.5])]
+    assert np.exp(rows[0])[3] == 0.5
+    lo, hi = np.log(FitConfig().box).T
+    rng = np.random.default_rng(5)
+    # b below 1e-2, where c d / b^2 dominates dL/db
+    u = rng.uniform(lo, np.log([1e4, 1e-2, 50.0, 4.0]), (100_000, 4))
+    P = np.exp(u)
+    log_a = np.log(P[:, :1])[:, 0] != [math.log(v) for v in P[:, 0]]
+    b_sq = (P[:, 1:2] ** 2)[:, 0] != [v ** 2 for v in P[:, 1]]
+    # (any point, where numpy and the C library agree on every one)
+    rows.append(next(v for v in (np.concatenate((u[i, :1], u[j, 1:]))
+                                 for i in (np.flatnonzero(log_a)[:20] if log_a.any() else range(20))
+                                 for j in (np.flatnonzero(b_sq)[:20] if b_sq.any() else range(20)))
+                     if obj.value_grad(v)[0] != _BIG))
+    rows.append(next(v for v in rng.uniform(lo, hi, (400, 4)) if obj.value_grad(v)[0] == _BIG))
+    if name == "clamp":
+        x = data.values
+        for u in TestObjective.clamp_box_points(12, 400):
+            a, b, c, d = np.exp(u)
+            p = EgwgParams(a, b, c, d, profile_theta(a, b, c, d, data))
+            if TestObjective.clamp_runs(p, data) and np.any(c * x ** d == 0.0):
+                rows.append(u)
+            if len(rows) == 5:
+                break
+        assert len(rows) == 5
+    return [tuple(u) for u in rows]
+
+
 class TestObjective:
     @staticmethod
     def count_kernel_passes(monkeypatch):
@@ -378,6 +428,31 @@ class TestObjective:
             assume(_BIG not in (up, dn))
             fd[i] = (up - dn) / (2.0 * h)
         assert np.max(np.abs(gu - fd)) <= 1e-4 * np.max(np.abs(fd))
+
+    # fit evaluates the points of all its runs as the rows of one block; each
+    # row must be what the point alone gives, or the runs would not be the
+    # runs L-BFGS-B makes alone
+    @given(st.data())
+    def test_a_block_is_its_rows_bit_for_bit(self, draw):
+        name = draw.draw(st.sampled_from(["aarset", "clamp"]))
+        points = draw.draw(st.lists(BOX_POINTS, max_size=20))
+        u = np.array(draw.draw(st.permutations(points + _edge_rows(name))))
+        data = Dataset(AARSET) if name == "aarset" else CLAMP_SAMPLE
+        f, g = _Objective(data).value_grad(u)
+        assert f.shape == (len(u),) and g.shape == (len(u), 4)
+        one = _Objective(data)
+        for ui, fi, gi in zip(u, f, g):
+            f1, g1 = one.value_grad(ui)
+            assert fi == f1
+            np.testing.assert_array_equal(gi, g1)
+
+    def test_a_column_takes_each_law_s_log_from_math_log(self):
+        # numpy's log differs from math.log in the last bit on some floats
+        # (on a few in 10^4 of these with numpy 2.4 on AVX-512), often too
+        # little to show in -L; a block's rows must still take the one-law
+        # function
+        v = np.exp(np.random.default_rng(3).uniform(math.log(0.01), math.log(1e4), 20_000))
+        assert dist._log(v[:, None])[:, 0].tolist() == [math.log(t) for t in v]
 
     @pytest.mark.parametrize("d", [0.5, 1.0, 2.0])
     def test_is_the_public_loglik_bit_for_bit_at_n_20000(self, d):
@@ -524,6 +599,57 @@ class TestFit:
         res = fit(RETRY_SAMPLE, FitConfig(n_restarts=1))
         assert res.converged
         assert abs(res.loglik + 307.88457560264146) <= 1e-9
+
+    @pytest.mark.parametrize("data", [Dataset(AARSET), RETRY_SAMPLE],
+                             ids=["aarset", "retry-sample"])
+    def test_lockstep_runs_are_the_runs_alone(self, data, monkeypatch):
+        # each lock-step run, retries included, is the L-BFGS-B run that
+        # optimize.minimize makes alone on a one-row objective
+        runs = []
+        real = estimation._lbfgsb
+
+        def spy(x0, lo, hi, **options):
+            r = yield from real(x0, lo, hi, **options)
+            runs.append((np.array(x0), list(zip(lo, hi)), options, r))
+            return r
+
+        monkeypatch.setattr(estimation, "_lbfgsb", spy)
+        res = fit(data)
+        assert len(runs) >= 8
+        assert res.n_evals == sum(r.nfev for *_, r in runs)
+        for x0, bounds, options, r in runs:
+            alone = minimize(_Objective(data).value_grad, x0, method="L-BFGS-B",
+                             bounds=bounds, options=options)
+            np.testing.assert_array_equal(r.x, alone.x)
+            np.testing.assert_array_equal(r.jac, alone.jac)
+            assert (r.fun, r.nfev, r.nit, r.message) == (
+                alone.fun, alone.nfev, alone.nit, alone.message)
+
+    def test_passes_at_n_20000_hold_one_row(self, monkeypatch):
+        # max(1, 2**14 // n) rows per pass: at n = 20000 the eight runs' block
+        # is evaluated one point at a time, in a workspace of one row
+        monkeypatch.setattr(estimation, "_LBFGSB_MAX_ITER", 1)
+        blocks, shapes = [], set()
+        value_grad, one = _Objective.value_grad, _Objective._one
+
+        def block_spy(self, u):
+            blocks.append(np.shape(u))
+            return value_grad(self, u)
+
+        def one_spy(self, u):
+            out = one(self, u)
+            shapes.update(a.shape for a in self.ws._full.values())
+            return out
+
+        def no_block(self, u):
+            raise AssertionError(f"a pass of {len(u)} rows at n = 20000")
+
+        monkeypatch.setattr(_Objective, "value_grad", block_spy)
+        monkeypatch.setattr(_Objective, "_one", one_spy)
+        monkeypatch.setattr(_Objective, "_block", no_block)
+        fit(BIG_SAMPLE)
+        assert blocks[0] == (8, 4)
+        assert shapes and {s[0] for s in shapes} == {1}
 
     def test_short_lbfgsb_retries_everywhere(self, aarset_data, monkeypatch):
         monkeypatch.setattr(estimation, "_LBFGSB_MAX_ITER", 1)

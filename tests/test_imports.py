@@ -1,5 +1,8 @@
 """The import contract: ``import egwgd`` and every CLI command load no scipy.
 
+The fit commands also start no worker: their speed comes from evaluating the
+restarts' points as the rows of one array pass, not from threads or processes.
+
 The subprocess cases run in a fresh interpreter each, because this test
 process has long since imported every module of the package.
 """
@@ -10,6 +13,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -32,10 +36,15 @@ COMMANDS = {
     "compare": ["compare", "--data", "aarset", "--models", "ed,gd", "--restarts", "1"],
 }
 
-# runs argv (JSON) through cli.main and prints the exit code and the scipy
-# modules then loaded; an empty argv only imports the package
+# runs argv (JSON) through cli.main and prints the exit code, the scipy
+# modules then loaded, the worker-pool modules (multiprocessing,
+# concurrent) then loaded and the number of Python threads started; an
+# empty argv only imports the package
 _CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, threading
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda self: (started.append(self.name), start(self))[1]
 argv = json.loads(sys.argv[1])
 if argv:
     from egwgd import cli
@@ -44,24 +53,33 @@ if argv:
 else:
     import egwgd
     code = 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+loaded = lambda *tops: sorted(m for m in sys.modules if m.split(".")[0] in tops)
+print(json.dumps([code, loaded("scipy"), loaded("multiprocessing", "concurrent"), len(started)]))
 """
 
 
-def run_child(argv):
-    """(exit code, scipy modules loaded, stderr) of argv in a fresh interpreter."""
+class Child(NamedTuple):
+    code: int
+    scipy: set
+    pools: set
+    threads: int
+    stderr: str
+
+
+def run_child(argv) -> Child:
+    """What argv did in a fresh interpreter (see _CHILD)."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argv)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
-    return code, set(modules), proc.stderr
+    code, modules, pools, threads = json.loads(proc.stdout.splitlines()[-1])
+    return Child(code, set(modules), set(pools), threads, proc.stderr)
 
 
 def scipy_modules_after(argv):
-    code, modules, _ = run_child(argv)
-    assert code == 0
-    return modules
+    child = run_child(argv)
+    assert child.code == 0
+    return child.scipy
 
 
 @pytest.fixture(scope="module")
@@ -82,10 +100,10 @@ def test_pointwise_commands_load_no_scipy(loaded, name):
 def test_eval_past_the_survival_edge_names_it_without_scipy():
     # hazard raises past the edge, and the Newton solve in log x names it
     law = ["--a", "0.5", "--b", "0.2", "--c", "0.3", "--d", "0.5", "--theta", "0.246"]
-    code, modules, stderr = run_child(["eval", *law, "--x", "500"])
-    assert code == 1
-    assert "largest representable point is about x = 413.594" in stderr
-    assert modules == set()
+    child = run_child(["eval", *law, "--x", "500"])
+    assert child.code == 1
+    assert "largest representable point is about x = 413.594" in child.stderr
+    assert child.scipy == set()
 
 
 def test_no_command_loads_scipy_stats(loaded):
@@ -95,6 +113,17 @@ def test_no_command_loads_scipy_stats(loaded):
 @pytest.mark.parametrize("name", list(COMMANDS))
 def test_command_loads_no_scipy(loaded, name):
     assert loaded[name] == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--data", "aarset", "--model", "egwgd"],
+    COMMANDS["compare"],
+], ids=["fit", "compare"])
+def test_fits_start_no_worker(argv):
+    child = run_child(argv)
+    assert child.code == 0
+    assert child.pools == set()
+    assert child.threads == 0
 
 
 def test_public_names_are_the_defining_modules_objects():
