@@ -6,9 +6,10 @@ quantiles and sampling, reliability metrics from defining integrals,
 maximum-likelihood estimation with Wald intervals, and goodness-of-fit
 model comparison.  A command-line front end is installed as ``egwgd``.
 
-The package needs only numpy.  ``import egwgd`` loads numpy and the
-package root: each public name is imported from its defining module on
-first access (PEP 562), so a program pays only for the modules it uses.
+The package needs only numpy.  ``import egwgd`` loads only the package
+root, not numpy: each public name is imported from its defining module,
+and numpy with it, on first access (PEP 562), so a program pays only for
+the modules it uses.
 """
 
 import importlib

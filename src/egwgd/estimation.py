@@ -303,7 +303,6 @@ def _theta_hat(n: int, ssum) -> float:
 # multistart fit
 # ---------------------------------------------------------------------------
 
-_BIG = 1e13
 _STATIONARITY_SCALE = 1e-4   # converged: max |projected grad| <= scale * max(1, |L|)
 _LBFGSB_MAX_ITER = 500       # caps each L-BFGS-B run: the first and the retry
 _PASS_POINTS = 2 ** 14       # a kernel pass holds at most max(1, this // n) rows of n points
@@ -313,7 +312,9 @@ class _Objective:
     """Profiled negative log-likelihood over u = log(a, b, c, d).
 
     The value at u is exactly -loglik at (a, b, c, d, profile_theta(...)),
-    or _BIG where theta cannot be profiled or the likelihood is -inf.
+    or +inf where theta cannot be profiled or the likelihood is -inf; the
+    gradient there is whatever the arithmetic gives, and L-BFGS-B backs off
+    from any point whose value or gradient is not finite.
     value_grad takes one point or a (k, 4) block of points, whose rows are
     evaluated together, max(1, _PASS_POINTS // n) rows per kernel pass, and
     come out bit for bit as each point alone would (see dist._Laws).  A pass
@@ -355,15 +356,13 @@ class _Objective:
             k = dist._inner(a, b, c, d, x, ws=ws)
             theta = _theta_hat(self.data.n, k[6].sum())
             if not math.isfinite(theta):
-                return _BIG, np.zeros(4)
+                return math.inf, np.full(4, math.nan)
             p = EgwgParams(a, b, c, d, theta)
             ll = float(dist._log_f(p, x, k, ws)[0].sum())
-            if not math.isfinite(ll):   # the sentinel has no slope; a huge finite -L keeps its own
-                return _BIG, np.zeros(4)
             # envelope theorem: dL/dtheta = 0 at the profiled theta, so the
             # profiled gradient is the partial gradient; chain rule to log space
             gu = -_grad(p, x, k, ws)[:4] * np.exp(u)
-        return -ll, (gu if np.all(np.isfinite(gu)) else np.zeros(4))
+        return (-ll if math.isfinite(ll) else math.inf), gu
 
     def _block(self, u: np.ndarray):
         """_one at each of the k > 1 rows of u, bit for bit, from one
@@ -383,9 +382,7 @@ class _Objective:
             p = dist._Laws(a, b, c, d, theta[:, None])
             f = -dist._log_f(p, x, k, ws)[0].sum(axis=1)
             g = -_grad(p, x, k, ws)[:, :4] * P
-        sentinel = ~(tenable & np.isfinite(f))
-        f[sentinel] = _BIG
-        g[sentinel | ~np.isfinite(g).all(axis=1)] = 0.0
+        f[~(tenable & np.isfinite(f))] = math.inf
         return f, g
 
 
@@ -481,7 +478,7 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
         proj[at_lb & (proj > 0.0)] = 0.0   # minimising: outward push is inert
         proj[at_ub & (proj < 0.0)] = 0.0
         pg = float(np.max(np.abs(proj)))
-        return pg, bool(fu < _BIG and pg <= _STATIONARITY_SCALE * max(1.0, abs(fu)))
+        return pg, math.isfinite(fu) and pg <= _STATIONARITY_SCALE * max(1.0, abs(fu))
 
     runs = []      # per restart: [first run's result, retry's result or None]
     active = []    # (restart index, run, the point it asks for)
@@ -529,7 +526,7 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     pool = converged_termini if converged_termini else termini
     best = min(pool, key=lambda t: t[0])   # first minimum wins ties
     converged = bool(best[2])
-    if best[0] >= _BIG:
+    if not math.isfinite(best[0]):
         raise DomainError(
             "no restart found an evaluable likelihood point; the data are "
             "degenerate for this family (e.g. zero spread) or the search box "

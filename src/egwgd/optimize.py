@@ -7,8 +7,10 @@ TOMS 38, 7, 2011) with the More-Thuente line search (ACM TOMS 20, 286,
 scipy.optimize's L-BFGS-B step for step: the generalized Cauchy point
 along the projected-gradient path, a Newton step on the variables that are
 free there, a line search from the unit step, ``maxcor = 10`` curvature
-pairs and the stop tests in scipy's order.  Only the linear algebra
-differs: the problems solved here have a handful of variables, so the
+pairs and the stop tests in scipy's order.  A point where the objective's
+value or gradient is not finite is untenable: the line search backs off
+from it halfway to its best step, and a run that starts at one ends at
+once (ABNORMAL).  The linear algebra also differs: the problems solved here have a handful of variables, so the
 matrix N = W M W' of the compact representation B = theta I - N is
 formed densely, once per update, and the Cauchy point and the subspace
 step apply it directly.  The iterates therefore agree with scipy's to
@@ -46,24 +48,20 @@ _EPS = float(np.finfo(float).eps)
 # L-BFGS-B
 # ---------------------------------------------------------------------------
 
-def minimize(fun, x0, method=None, bounds=None, options=None):
+def minimize(fun, x0, bounds, options=None):
     """Minimise ``fun`` over a box with L-BFGS-B: one run of ``_lbfgsb``, driven.
 
-    ``fun(x)`` returns ``(f, gradient)``.  ``bounds`` gives a finite
-    ``(lo, hi)`` pair with lo < hi for every variable, and x0 is clipped
-    into the box.  ``options`` may set ``maxiter`` (default 15000),
-    ``ftol`` (2.2e-9) and ``gtol`` (1e-5), with scipy's meanings.
-    ``method`` must be "L-BFGS-B".  It exists only for perfbench's tracer,
-    which replaces ``estimation.minimize`` and files each run under the
-    method it names; ``estimation.fit`` drives its runs itself, so the
-    tracer's L-BFGS-B stage counts no longer see them (ROADMAP direction 1).
+    ``fun(x)`` returns ``(f, gradient)``; a point where either is not
+    finite is untenable, and the line search backs off from it.
+    ``bounds`` gives a finite ``(lo, hi)`` pair with lo < hi for every
+    variable, and x0 is clipped into the box.  ``options`` may set
+    ``maxiter`` (default 15000), ``ftol`` (2.2e-9) and ``gtol`` (1e-5),
+    with scipy's meanings.
 
     Returns a namespace with ``x``, ``fun`` and ``jac`` (the objective's own
     value and gradient at x), ``nfev`` (objective calls), ``nit`` (accepted
     steps) and ``message`` (scipy's wording).
     """
-    if method != "L-BFGS-B":
-        raise ValueError(f"unsupported method {method!r}; only 'L-BFGS-B' is implemented")
     lo = [float(b[0]) for b in bounds]
     hi = [float(b[1]) for b in bounds]
     if len(lo) != len(x0) or not all(-math.inf < l < h < math.inf for l, h in zip(lo, hi)):
@@ -107,7 +105,9 @@ def _lbfgsb(x0, lo, hi, maxiter=15000, ftol=2.220446049250313e-09, gtol=1e-5):
     memory = _Memory(n)
     nit = 0
     message = ""
-    if _projgr(x, g, lo, hi) <= gtol:
+    if not _tenable(f, g):
+        message = "ABNORMAL: NON-FINITE VALUE OR GRADIENT AT THE START"
+    elif _projgr(x, g, lo, hi) <= gtol:
         message = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
     while not message:
         theta, N = memory.theta, memory.N
@@ -147,6 +147,9 @@ def _lbfgsb(x0, lo, hi, maxiter=15000, ftol=2.220446049250313e-09, gtol=1e-5):
             for _ in range(maxls):
                 x = z if stp == 1.0 else [stp * di + xi for di, xi in zip(d, xk)]
                 x, f, g, jac = yield from evaluate(x)
+                if not _tenable(f, g):
+                    stp = search.back_off(stp)
+                    continue
                 gd = sum(map(mul, g, d))
                 stp, ok = search(stp, f, gd)
                 if ok:
@@ -179,6 +182,11 @@ def _lbfgsb(x0, lo, hi, maxiter=15000, ftol=2.220446049250313e-09, gtol=1e-5):
         if dr > _EPS * ddum:
             memory.add(d, [gi - g0i for gi, g0i in zip(g, g0)], dr)
     return SimpleNamespace(x=np.array(x), fun=f, jac=jac, nfev=nfev, nit=nit, message=message)
+
+
+def _tenable(f, g):
+    """Whether the value f and the gradient g (a list) are all finite."""
+    return math.isfinite(f) and all(map(math.isfinite, g))
 
 
 def _projgr(x, g, lo, hi):
@@ -327,9 +335,7 @@ def _cauchy(x, g, lo, hi, theta, N, iwhere):
     if dtm <= 0.0:
         dtm = 0.0
     tsum += dtm
-    # one rounding per component, as the BLAS daxpy scipy calls here rounds
-    # on processors with fused multiply-add
-    xcp = [_fma(tsum, di, xc) if di else xc for xc, di in zip(xcp, d)]
+    xcp = [tsum * di + xc for xc, di in zip(xcp, d)]
     if N is not None:
         Nz = [a + dtm * b for a, b in zip(Nz, Nd)]
     return xcp, Nz
@@ -405,33 +411,6 @@ def _spd_solve(A, b):
     return b
 
 
-def _fma(a, b, c):
-    """a * b + c with one rounding, as a fused multiply-add computes it.
-
-    The product of the two 53-bit significands is formed exactly as an
-    integer and added to c's; converting the sum back to float rounds
-    once (results in the subnormal range round twice).  Zero operands,
-    non-finite values and terms more than 160 binary orders apart take the
-    plain a * b + c, which there is exact or differs only in a tie.
-    """
-    if a == 0.0 or b == 0.0 or c == 0.0 or not math.isfinite(a * b + c):
-        return a * b + c
-    ma, ea = math.frexp(a)
-    mb, eb = math.frexp(b)
-    mc, ec = math.frexp(c)
-    p = int(ma * _TWO53) * int(mb * _TWO53)
-    q = int(mc * _TWO53)
-    ep, ec = ea + eb - 106, ec - 53
-    if abs(ep - ec) > 160:
-        return a * b + c
-    if ep < ec:
-        return math.ldexp(float(p + (q << (ec - ep))), ep)
-    return math.ldexp(float((p << (ep - ec)) + q), ec)
-
-
-_TWO53 = 9007199254740992.0
-
-
 def _div(a, b):
     """a / b with IEEE results where b is zero."""
     if b != 0.0:
@@ -451,9 +430,13 @@ class _Dcsrch:
     call it with each step and its f and f'.  It returns the next step and
     whether the search has ended (converged, or stopped with a warning at
     its best step).  ``error`` is set when the first step exceeds stpmax.
+    A step where f or f' is not finite is not passed in: ``back_off`` gives
+    the step to try instead (Nocedal & Wright, Numerical Optimization,
+    ch. 3, safeguarded backtracking).
     """
 
     ftol, gtol, xtol = 1e-3, 0.9, 0.1
+    backoff = 0.5
 
     def __init__(self, f, g, stp, stpmax):
         self.error = stp > stpmax
@@ -507,6 +490,15 @@ class _Dcsrch:
                             or self.stmax - self.stmin <= self.xtol * self.stmax):
             stp = stx
         return stp, False
+
+    def back_off(self, stp):
+        """The step to try after the untenable step stp: a fixed fraction of
+        the way from the best step so far, which becomes the longest step the
+        search may take when stp lies beyond it."""
+        stp = self.stx + self.backoff * (stp - self.stx)
+        if stp > self.stx:
+            self.stpmax = stp
+        return stp
 
 
 def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):

@@ -29,7 +29,7 @@ from egwgd import (
 )
 from egwgd import distribution as dist
 from egwgd import estimation
-from egwgd.estimation import _BIG, PARAM_ORDER, _anchors, _Objective
+from egwgd.estimation import PARAM_ORDER, _anchors, _Objective
 from egwgd.exceptions import (
     DegenerateInformationError,
     DomainError,
@@ -275,7 +275,7 @@ def _edge_rows(name):
     CLAMP_SAMPLE ("clamp"): one with d = 0.5; one where numpy's log of a
     differs from math.log's and numpy's square of b from a float's b ** 2,
     rare points where a row must not take numpy's function for a law's scalar;
-    one where the objective is _BIG and, on CLAMP_SAMPLE, two where
+    one where the objective is +inf and, on CLAMP_SAMPLE, two where
     log_pdf's theta < 1 clamp acts and c x^d underflows."""
     data = Dataset(AARSET) if name == "aarset" else CLAMP_SAMPLE
     obj = _Objective(data)
@@ -292,8 +292,8 @@ def _edge_rows(name):
     rows.append(next(v for v in (np.concatenate((u[i, :1], u[j, 1:]))
                                  for i in (np.flatnonzero(log_a)[:20] if log_a.any() else range(20))
                                  for j in (np.flatnonzero(b_sq)[:20] if b_sq.any() else range(20)))
-                     if obj.value_grad(v)[0] != _BIG))
-    rows.append(next(v for v in rng.uniform(lo, hi, (400, 4)) if obj.value_grad(v)[0] == _BIG))
+                     if math.isfinite(obj.value_grad(v)[0])))
+    rows.append(next(v for v in rng.uniform(lo, hi, (400, 4)) if obj.value_grad(v)[0] == math.inf))
     if name == "clamp":
         x = data.values
         for u in TestObjective.clamp_box_points(12, 400):
@@ -337,7 +337,7 @@ class TestObjective:
         u = np.log([PRINTED_MLE.a, PRINTED_MLE.b, PRINTED_MLE.c, PRINTED_MLE.d])
         f, gu = _Objective(aarset_data).value_grad(u)
         assert len(calls) == 1
-        assert f < _BIG and np.all(gu)
+        assert math.isfinite(f) and np.all(gu)
 
     def test_is_exactly_the_loglik_where_the_clamp_runs(self, monkeypatch):
         # at the profiled theta every theta * log(1 - e^{-z_i}) >= -n, so only
@@ -364,7 +364,8 @@ class TestObjective:
             f, gu = obj.value_grad(u)
             a, b, c, d = np.exp(u)
             p = EgwgParams(a, b, c, d, profile_theta(a, b, c, d, CLAMP_SAMPLE))
-            if f == _BIG or not np.any(gu) or not self.clamp_runs(p, CLAMP_SAMPLE):
+            if not (math.isfinite(f) and np.all(np.isfinite(gu))
+                    and self.clamp_runs(p, CLAMP_SAMPLE)):
                 continue
             h = 1e-6
             fd = np.array([(obj.value_grad(u + e)[0] - obj.value_grad(u - e)[0]) / (2.0 * h)
@@ -391,22 +392,19 @@ class TestObjective:
             except LeftTailUnderflowError:
                 p = None
             ll = -math.inf if p is None else loglik(p, aarset_data)
-            assert f == (-ll if math.isfinite(ll) else _BIG)
-            if f == _BIG:   # only the sentinel has no slope
+            assert f == (-ll if math.isfinite(ll) else math.inf)
+            if f == math.inf:   # an untenable point: only its value is defined
                 untenable += 1
-                assert not np.any(gu)
                 continue
             tenable += 1
-            huge += f > _BIG
+            huge += f > 1e13   # finite -L far from any optimum
             with np.errstate(all="ignore"):
                 expected = -loglik_grad(p, aarset_data)[:4] * np.exp(u)
-            if np.all(np.isfinite(expected)):
-                np.testing.assert_array_equal(gu, expected)
-            else:
-                assert not np.any(gu)
+            # an overflowed component stays non-finite, for L-BFGS-B to back off from
+            np.testing.assert_array_equal(gu, expected)
         assert tenable >= 30 and untenable >= 5 and huge >= 3
 
-    # Finite -L far above _BIG: the gradient L-BFGS-B's line search sees at
+    # Finite -L far above 1e13: the gradient L-BFGS-B's line search sees at
     # such a trial point must be its slope, not zero.
     @given(st.tuples(*(st.floats(lo, hi) for lo, hi in np.log(FitConfig().box))))
     @example((-9.73218504, 0.46970097, 2.74277722, -1.42786419))   # -L = 3.5e19
@@ -414,7 +412,7 @@ class TestObjective:
         obj = _Objective(aarset_data)
         u = np.array(u)
         f, gu = obj.value_grad(u)
-        assume(f != _BIG)
+        assume(math.isfinite(f))
         a, b, c, d = np.exp(u)
         p = EgwgParams(a, b, c, d, profile_theta(a, b, c, d, aarset_data))
         with np.errstate(all="ignore"):
@@ -425,7 +423,7 @@ class TestObjective:
             e = np.zeros(4)
             e[i] = h
             up, dn = obj.value_grad(u + e)[0], obj.value_grad(u - e)[0]
-            assume(_BIG not in (up, dn))
+            assume(math.isfinite(up) and math.isfinite(dn))
             fd[i] = (up - dn) / (2.0 * h)
         assert np.max(np.abs(gu - fd)) <= 1e-4 * np.max(np.abs(fd))
 
@@ -444,7 +442,8 @@ class TestObjective:
         for ui, fi, gi in zip(u, f, g):
             f1, g1 = one.value_grad(ui)
             assert fi == f1
-            np.testing.assert_array_equal(gi, g1)
+            if f1 < math.inf:   # at an untenable point only the value is defined
+                np.testing.assert_array_equal(gi, g1)
 
     def test_a_column_takes_each_law_s_log_from_math_log(self):
         # numpy's log differs from math.log in the last bit on some floats
@@ -462,12 +461,13 @@ class TestObjective:
         assert d_u == d
         f, gu = _Objective(BIG_SAMPLE).value_grad(u)
         p = EgwgParams(a, b, c, d_u, profile_theta(a, b, c, d_u, BIG_SAMPLE))
-        assert f < _BIG and f == -loglik(p, BIG_SAMPLE)
+        assert math.isfinite(f) and f == -loglik(p, BIG_SAMPLE)
         np.testing.assert_array_equal(gu, -loglik_grad(p, BIG_SAMPLE)[:4] * np.exp(u))
 
     def edge_points(self, monkeypatch):
         """On CLAMP_SAMPLE: u1, where neither the clamp nor the c x^d
-        underflow acts; u2 and u3, where both act; and a _BIG point."""
+        underflow acts; u2 and u3, where both act; and an untenable point,
+        where the objective is +inf."""
         calls = self.count_kernel_passes(monkeypatch)
         obj = _Objective(CLAMP_SAMPLE)
         x = CLAMP_SAMPLE.values
@@ -480,23 +480,24 @@ class TestObjective:
 
         u1 = np.log([0.5, 1.0, 0.5, 1.0])
         f1, passes, under = passes_and_under(u1)
-        assert f1 < _BIG and passes == 1 and not under
+        assert math.isfinite(f1) and passes == 1 and not under
         both = [u for u in self.clamp_box_points(12, 400)
                 if passes_and_under(u)[1:] == (2, True)]
         rng = np.random.default_rng(5)
         lo, hi = np.log(FitConfig().box).T
-        big = next(u for u in rng.uniform(lo, hi, (400, 4)) if obj.value_grad(u)[0] == _BIG)
+        inf = next(u for u in rng.uniform(lo, hi, (400, 4)) if obj.value_grad(u)[0] == math.inf)
         monkeypatch.undo()
-        return u1, both[0], both[1], big
+        return u1, both[0], both[1], inf
 
     def test_no_value_survives_from_the_evaluation_before(self, monkeypatch):
-        u1, u2, u3, big = self.edge_points(monkeypatch)
+        u1, u2, u3, inf = self.edge_points(monkeypatch)
         obj = _Objective(CLAMP_SAMPLE)
-        for u in (u1, u2, u1, big, u1, u3, u2, big, u3, u1):
+        for u in (u1, u2, u1, inf, u1, u3, u2, inf, u3, u1):
             f, gu = obj.value_grad(u)
             f_new, gu_new = _Objective(CLAMP_SAMPLE).value_grad(u)
             assert f == f_new
-            np.testing.assert_array_equal(gu, gu_new)
+            if f < math.inf:   # at an untenable point only the value is defined
+                np.testing.assert_array_equal(gu, gu_new)
 
     @pytest.mark.parametrize("where", ["n20000", "clamp"])
     def test_an_evaluation_allocates_no_array_of_the_data_length(self, where, monkeypatch):
@@ -518,7 +519,7 @@ class TestObjective:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert f != _BIG
+        assert math.isfinite(f)
         assert peak < 2 * 8 * data.n
 
 
@@ -589,7 +590,7 @@ class TestFit:
             inert = ((np.isclose(r1.x, lo, rtol=0.0, atol=1e-12) & (gu > 0.0))
                      | (np.isclose(r1.x, hi, rtol=0.0, atol=1e-12) & (gu < 0.0)))
             pg = np.max(np.abs(gu[~inert]), initial=0.0)
-            stationary = r1.fun < _BIG and pg <= scale * max(1.0, abs(r1.fun))
+            stationary = math.isfinite(r1.fun) and pg <= scale * max(1.0, abs(r1.fun))
             assert (r2 is not None) == (not stationary)
         # some restarts need the retry and some do not
         assert 0 < sum(r2 is not None for _, r2 in restarts) < cfg.n_restarts
@@ -618,8 +619,7 @@ class TestFit:
         assert len(runs) >= 8
         assert res.n_evals == sum(r.nfev for *_, r in runs)
         for x0, bounds, options, r in runs:
-            alone = minimize(_Objective(data).value_grad, x0, method="L-BFGS-B",
-                             bounds=bounds, options=options)
+            alone = minimize(_Objective(data).value_grad, x0, bounds, options)
             np.testing.assert_array_equal(r.x, alone.x)
             np.testing.assert_array_equal(r.jac, alone.jac)
             assert (r.fun, r.nfev, r.nit, r.message) == (
@@ -719,6 +719,19 @@ class TestFit:
     def test_no_evaluable_restart_raises(self):
         with pytest.raises(DomainError):
             fit(Dataset(np.full(6, 3.0)), FitConfig(n_restarts=2))
+
+    def test_an_overflowed_gradient_is_no_stationary_terminus(self, aarset_data, monkeypatch):
+        # -L is finite here (8.4e295), but dL/dc and dL/dd overflow to -inf
+        u = np.array([-23.111, 0.837, -1.689, 0.614])
+        f, gu = _Objective(aarset_data).value_grad(u)
+        assert math.isfinite(f) and not np.all(np.isfinite(gu))
+        lo, hi = np.log(FitConfig().box).T
+        r = minimize(_Objective(aarset_data).value_grad, u, list(zip(lo, hi)))
+        assert r.message.startswith("ABNORMAL") and r.nit == 0
+        # a fit whose one restart starts there ends there, and not converged
+        monkeypatch.setattr(estimation, "_anchors", lambda x, k: [tuple(np.exp(u))])
+        res = fit(aarset_data, FitConfig(n_restarts=1))
+        assert res.loglik == -f and not res.converged
 
     def test_deterministic(self, aarset_data):
         cfg = FitConfig(n_restarts=2)

@@ -1,4 +1,5 @@
-"""The import contract: ``import egwgd`` and every CLI command load no scipy.
+"""The import contract: ``import egwgd`` loads neither numpy nor scipy, and
+no CLI command loads scipy.
 
 The fit commands also start no worker: their speed comes from evaluating the
 restarts' points as the rows of one array pass, not from threads or processes.
@@ -38,8 +39,8 @@ COMMANDS = {
 
 # runs argv (JSON) through cli.main and prints the exit code, the scipy
 # modules then loaded, the worker-pool modules (multiprocessing,
-# concurrent) then loaded and the number of Python threads started; an
-# empty argv only imports the package
+# concurrent) then loaded, the number of Python threads started and the
+# numpy modules then loaded; an empty argv only imports the package
 _CHILD = """
 import contextlib, io, json, sys, threading
 started = []
@@ -54,7 +55,8 @@ else:
     import egwgd
     code = 0
 loaded = lambda *tops: sorted(m for m in sys.modules if m.split(".")[0] in tops)
-print(json.dumps([code, loaded("scipy"), loaded("multiprocessing", "concurrent"), len(started)]))
+print(json.dumps([code, loaded("scipy"), loaded("multiprocessing", "concurrent"), len(started),
+                  loaded("numpy")]))
 """
 
 
@@ -63,6 +65,7 @@ class Child(NamedTuple):
     scipy: set
     pools: set
     threads: int
+    numpy: set
     stderr: str
 
 
@@ -72,8 +75,8 @@ def run_child(argv) -> Child:
     proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argv)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, modules, pools, threads = json.loads(proc.stdout.splitlines()[-1])
-    return Child(code, set(modules), set(pools), threads, proc.stderr)
+    code, modules, pools, threads, numpy = json.loads(proc.stdout.splitlines()[-1])
+    return Child(code, set(modules), set(pools), threads, set(numpy), proc.stderr)
 
 
 def scipy_modules_after(argv):
@@ -89,7 +92,9 @@ def loaded():
 
 
 def test_import_egwgd_loads_no_scipy():
-    assert scipy_modules_after([]) == set()
+    # nor numpy: each public name loads its module, and numpy, on first access
+    child = run_child([])
+    assert child.scipy == set() and child.numpy == set()
 
 
 @pytest.mark.parametrize("name", ["eval", "sample", "curves", "curves_mrl", "reliability"])
