@@ -27,24 +27,40 @@ def load_values(source: str) -> np.ndarray:
 
     Files may be newline- or comma-delimited; ``#`` starts a comment.
     Raises DomainError naming the offending line for non-positive values.
+    A file with no ``#`` is converted in one call, which parses each token
+    as float() does; whenever that fails or a value is not > 0, the line
+    loop runs instead and names the line.
     """
     key = source.strip().lower()
     if key in FIXTURES:
         return FIXTURES[key].copy()
-    values = []
     with open(source, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            for tok in text.replace(",", " ").split():
-                try:
-                    v = float(tok)
-                except ValueError as exc:
-                    raise DomainError(f"{source}:{lineno}: not a number: {tok!r}") from exc
-                if not v > 0.0:
-                    raise DomainError(f"{source}:{lineno}: non-positive value {tok}")
-                values.append(v)
+        text = fh.read()
+    if "#" not in text:
+        try:
+            values = np.array(text.replace(",", " ").split(), dtype=float)
+        except ValueError:
+            values = None
+        if values is not None and values.size and np.all(values > 0.0):
+            return values
+    return _load_lines(source, text)
+
+
+def _load_lines(source: str, text: str) -> np.ndarray:
+    """load_values of a file's text (newlines as reading the file gives them), line by line."""
+    values = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        for tok in body.replace(",", " ").split():
+            try:
+                v = float(tok)
+            except ValueError as exc:
+                raise DomainError(f"{source}:{lineno}: not a number: {tok!r}") from exc
+            if not v > 0.0:
+                raise DomainError(f"{source}:{lineno}: non-positive value {tok}")
+            values.append(v)
     if not values:
         raise DomainError(f"{source}: no data values found")
     return np.asarray(values, dtype=float)

@@ -87,9 +87,9 @@ class EgwgParams:
 class _Workspace:
     """Arrays reused by repeated kernel passes over one fixed array x > 0.
 
-    log x is computed once.  Every other array is made on first use under
-    the name its function gives it, and each pass rewrites all of its
-    elements, so no value survives from the pass before.  The arrays are
+    log x and its sum are computed once.  Every other array is made on first
+    use under the name its function gives it, and each pass rewrites all of
+    its elements, so no value survives from the pass before.  The arrays are
     shaped like x, or (k, n) after ``rows(k)``, when a pass evaluates k > 1
     laws given as (k, 1) parameter columns, one law per row (see _Laws).
     The kernel functions take ``ws=None`` from the public evaluators and
@@ -99,6 +99,7 @@ class _Workspace:
     def __init__(self, x: np.ndarray):
         self.x = x
         self.lnx = np.log(x)
+        self.lnx_sum = self.lnx.sum()
         self._k = self._cap = 1
         self._full = {}        # name -> (cap, n) array, cap the most laws a pass has had
         self._arrays = {}      # name -> its view for the current pass
@@ -132,6 +133,7 @@ class _Workspace:
         else:
             np.maximum(self.x, lo, out=ws.x)
             np.log(ws.x, out=ws.lnx)
+            ws.lnx_sum = ws.lnx.sum()
         return ws
 
 
@@ -141,9 +143,9 @@ class _Laws(NamedTuple):
     The kernel functions take these in place of one law's floats and then
     work on a workspace's (k, n) arrays.  Each row comes out bit for bit as
     its own law alone would give it: every array operation acts on each
-    element alone, and the per-law scalars that are not plain arithmetic
-    (logarithms, the x ** 0.5 rule, the theta < 1 clamp) are taken row by
-    row as for one law.
+    element alone, each weighted sum runs along its row in the order of the
+    one-row sum, and the per-law scalars that are not plain arithmetic
+    (logarithms, the theta < 1 clamp) are taken row by row as for one law.
     """
 
     a: np.ndarray
@@ -154,6 +156,19 @@ class _Laws(NamedTuple):
 
     def law(self, i: int) -> EgwgParams:
         return EgwgParams(*(v[i, 0] for v in self))
+
+
+class _Kernel(NamedTuple):
+    """The columns of one kernel pass over x > 0 (see _inner)."""
+
+    lnx: np.ndarray     # log x
+    s: np.ndarray       # x^d = e^{d log x}
+    ncs: np.ndarray     # -c s, the argument of expm1
+    em: np.ndarray      # e^{-c s} - 1, in [-1, 0]
+    logz: np.ndarray    # log z, z = a x^b (e^{c s} - 1)
+    z: np.ndarray
+    lnP: np.ndarray     # log(1 - e^{-z})
+    under: np.ndarray | None   # where c s underflows to 0; None where it never does
 
 
 def _scratch(ws, name: str, like: np.ndarray, dtype=float) -> np.ndarray:
@@ -172,77 +187,61 @@ def _log(v):
     return math.log(v)
 
 
-def _power(x: np.ndarray, d, out: np.ndarray) -> np.ndarray:
-    """x ** d written into out; numpy's ``x ** 0.5`` is sqrt, so that exponent is too.
-
-    A (k, 1) column d writes row i of out from d[i], with the same rule.
-    """
-    if not isinstance(d, np.ndarray):
-        return np.sqrt(x, out=out) if d == 0.5 else np.power(x, d, out=out)
-    np.power(x, d, out=out)
-    for i in np.flatnonzero(d[:, 0] == 0.5):
-        np.sqrt(x, out=out[i])
-    return out
-
-
-def _log_expm1(y, logy=None, out=None, ws=None):
-    """log(e^y - 1) for y > 0, elementwise, without over- or underflow (given log y, at y = 0).
-
-    Written into out (fresh when None); ws lends the scratch arrays.
-    """
-    y = np.asarray(y, dtype=float)
-    if out is None:
-        out = np.empty_like(y)
-    m = _scratch(ws, "lem.mask", y, bool)
+def _log_expm1(y: np.ndarray, logy: np.ndarray) -> np.ndarray:
+    """log(e^y - 1) for y > 0, elementwise, without over- or underflow, given log y."""
+    out = y.copy()   # y > 33: the correction log(1 - e^{-y}) < 5e-15
     with np.errstate(divide="ignore"):
-        np.copyto(out, y)          # y > 33: the correction log(1 - e^{-y}) < 5e-15
-        np.less_equal(y, 33.0, out=m)
+        m = y <= 33.0
         np.log(np.expm1(y, out=out, where=m), out=out, where=m)
-        if np.less(y, 1e-8, out=m).any():   # log y + y / 2
-            half = np.multiply(0.5, y, out=_scratch(ws, "lem.half", y), where=m)
-            if logy is None:
-                np.log(y, out=out, where=m)
-            else:
-                np.copyto(out, logy, where=m)
-            np.add(out, half, out=out, where=m)
+        m = y < 1e-8
+        if m.any():   # log y + y / 2
+            np.copyto(out, logy + 0.5 * y, where=m)
     return out
 
 
-def _inner(a: float, b: float, c: float, d: float, x, ws=None):
-    """Return (log x, s = x^d, c*s, log g, log z, z, log(1 - e^{-z})) for x > 0, elementwise.
+def _inner(a: float, b: float, c: float, d: float, x: np.ndarray, ws=None) -> _Kernel:
+    """The kernel columns (see _Kernel) at the points x > 0, each transcendental taken once.
 
-    g = x^b (e^{c s} - 1) and z = a g, summed as log z = log a + log g.
-    Where c*s underflows to 0, log(e^{c s} - 1) is carried as log c + d log x,
-    so log z stays finite wherever it is representable, as does log(1 - e^{-z}).
-    With a _Workspace ws over x, log x is ws's and every result is one of its arrays.
+    s = e^{d log x}, and log z = log a + b log x + c s + log(-em), since
+    log(e^{c s} - 1) = c s + log(1 - e^{-c s}).  Where c s underflows to 0,
+    log(e^{c s} - 1) is carried as log c + d log x, so log z stays finite
+    wherever it is representable, as does log(1 - e^{-z}).
+    With a _Workspace ws over x, log x is ws's and every column is one of its arrays.
     a, b, c and d may be (k, 1) columns of k laws (see _Laws); ws's arrays are then (k, n).
     """
-    x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", divide="ignore"):
         lnx = np.log(x) if ws is None else ws.lnx
-        s = _power(x, d, _scratch(ws, "s", x))
-        cs = np.multiply(c, s, out=_scratch(ws, "cs", x))
-        lg = _log_expm1(cs, out=_scratch(ws, "lg", x), ws=ws)
+        s = np.multiply(d, lnx, out=_scratch(ws, "s", x))
+        np.exp(s, out=s)
+        ncs = np.multiply(-c, s, out=_scratch(ws, "ncs", x))
+        em = np.expm1(ncs, out=_scratch(ws, "em", x))
+        logz = np.negative(em, out=_scratch(ws, "logz", x))
+        np.log(logz, out=logz)
+        np.subtract(logz, ncs, out=logz)
         blnx = np.multiply(b, lnx, out=_scratch(ws, "t", x))
-        np.add(blnx, lg, out=lg)
-        under = np.equal(cs, 0.0, out=_scratch(ws, "mask", x, bool))
+        np.add(logz, blnx, out=logz)
+        under = np.equal(ncs, 0.0, out=_scratch(ws, "under", x, bool))
         if under.any():
-            np.multiply(d, lnx, out=lg, where=under)
-            np.add(_log(c), lg, out=lg, where=under)
-            np.add(blnx, lg, out=lg, where=under)
-        logz = np.add(_log(a), lg, out=_scratch(ws, "logz", x))
+            np.multiply(d, lnx, out=logz, where=under)
+            np.add(_log(c), logz, out=logz, where=under)
+            np.add(blnx, logz, out=logz, where=under)
+        else:
+            under = None
+        np.add(_log(a), logz, out=logz)
         z = np.exp(logz, out=_scratch(ws, "z", x))
         # log(1 - e^{-z}) is log1p(-e^{-z}) above z = ln 2 and log(-expm1(-z))
         # up to it; below z = 1.1e-16 it equals log z to 1 ulp
         lnP = np.negative(z, out=_scratch(ws, "lnP", x))
-        m = np.greater(z, _LN2, out=under)
-        np.exp(lnP, out=lnP, where=m)
-        np.log1p(np.negative(lnP, out=lnP, where=m), out=lnP, where=m)
-        np.invert(m, out=m)
-        np.expm1(lnP, out=lnP, where=m)
-        np.log(np.negative(lnP, out=lnP, where=m), out=lnP, where=m)
-        np.copyto(lnP, logz, where=np.less(logz, -36.7, out=m))
-    return lnx, s, cs, lg, logz, z, lnP
+        big = np.greater(z, _LN2, out=_scratch(ws, "mask", x, bool))
+        small = np.less_equal(z, _LN2, out=_scratch(ws, "mask2", x, bool))
+        np.exp(lnP, out=lnP, where=big)
+        np.expm1(lnP, out=lnP, where=small)
+        np.negative(lnP, out=lnP)
+        np.log1p(lnP, out=lnP, where=big)
+        np.log(lnP, out=lnP, where=small)
+        if np.less(logz, -36.7, out=big).any():
+            np.copyto(lnP, logz, where=big)
+    return _Kernel(lnx, s, ncs, em, logz, z, lnP, under)
 
 
 def _as_x_array(x, *, allow_zero: bool) -> tuple[np.ndarray, bool]:
@@ -271,7 +270,7 @@ def _log_F(p: EgwgParams, x) -> tuple[np.ndarray, bool]:
     xs, scalar = _as_x_array(x, allow_zero=True)
     out = np.full(xs.shape, -np.inf)
     pos = xs > 0.0
-    out[pos] = p.theta * _inner(p.a, p.b, p.c, p.d, xs[pos])[6]
+    out[pos] = p.theta * _inner(p.a, p.b, p.c, p.d, xs[pos]).lnP
     return out, scalar
 
 
@@ -299,19 +298,19 @@ def survival(p: EgwgParams, x):
     return _ret(-np.expm1(lf), scalar)
 
 
-def _log_f(p, xs: np.ndarray, k: tuple, ws=None) -> tuple[np.ndarray, np.ndarray]:
+def _log_f(p, xs: np.ndarray, k: _Kernel, ws=None) -> tuple[np.ndarray, np.ndarray]:
     """(log f, unclamped log F) at the points xs > 0, given their kernel k = _inner(..., xs, ws).
 
-    Uses the rewrite a*b*x^{b-1}*(1 + (c d / b) x^d - e^{-c x^d})
-    = a x^{b-1} * [b (1 - e^{-c x^d}) + c d x^d], which evaluates the b -> 0
-    limit directly instead of producing 0 * inf.  For theta < 1, where f
-    blows up as x -> 0+, log f is clamped at the point where F = 1e-300;
-    only then is the kernel evaluated a second time, at the clamped points
+    log f is read off the kernel's columns (see _log_f_terms), in a form
+    that evaluates the b -> 0 limit directly instead of producing 0 * inf.
+    For theta < 1, where f blows up as x -> 0+, log f is clamped at the
+    point where F = 1e-300; only then is the kernel evaluated a second
+    time, at the clamped points
     (given ws, in its clamped workspace, so that k stays intact).  p is one
     law, or k laws as _Laws columns over ws's (k, n) arrays; a row that
     needs the clamp gets it alone, as its law would.
     """
-    log_F = np.multiply(p.theta, k[6], out=_scratch(ws, "log_F", xs))
+    log_F = np.multiply(p.theta, k.lnP, out=_scratch(ws, "log_F", xs))
     out = _scratch(ws, "log_f", xs)
 
     def tiny():
@@ -348,31 +347,31 @@ def _clamp_point(p: EgwgParams) -> float | None:
         return None
 
 
-def _log_f_terms(p, k: tuple, ws, out: np.ndarray) -> np.ndarray:
-    """log f from the kernel k, written into out (see _log_f); ws lends the scratch arrays."""
-    lnx, s, cs, _, _, z, l1mez = k
-    t = _scratch(ws, "t", out)
-    mask = _scratch(ws, "mask", out, bool)
+def _log_f_terms(p, k: _Kernel, ws, out: np.ndarray) -> np.ndarray:
+    """log f from the kernel k, written into out (see _log_f); ws lends the scratch arrays.
+
+    f = theta a x^{b-1} e^{c s - z} w (1 - e^{-z})^{theta - 1}, and
+    a x^{b-1} e^{c s} = z / (x (1 - e^{-c s})), so
+    log f = log theta + log z - log x - z + log v + (theta - 1) log(1 - e^{-z})
+    with v = w / (1 - e^{-c s}) = b + d c s / (1 - e^{-c s}), which is b + d
+    where c s underflows.
+    """
+    lnx, _, ncs, em, logz, z, l1mez, under = k
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # log w = log(b (1 - e^{-c x^d}) + c d x^d)
-        logw = np.negative(cs, out=_scratch(ws, "logw", out))
-        np.negative(np.expm1(logw, out=logw), out=logw)
-        np.add(np.multiply(p.b, logw, out=logw), np.multiply(p.c * p.d, s, out=t), out=logw)
-        np.log(logw, out=logw)
-        under = np.equal(cs, 0.0, out=mask)
-        if under.any():
-            # where c x^d underflows, w = (b + d) c x^d to within a factor 1 + c x^d
-            np.multiply(p.d, lnx, out=logw, where=under)
-            np.add(_log(p.c), logw, out=logw, where=under)
-            np.add(logw, _log(p.b + p.d), out=logw, where=under)
-        # log a + log theta + (b - 1) log x + c x^d - z + log w + (theta - 1) log(1 - e^{-z})
-        np.add(_log(p.a) + _log(p.theta), np.multiply(p.b - 1.0, lnx, out=out), out=out)
-        np.add(out, cs, out=out)
+        logv = np.divide(ncs, em, out=_scratch(ws, "logv", out))
+        np.add(np.multiply(p.d, logv, out=logv), p.b, out=logv)
+        if under is not None:
+            np.copyto(logv, p.b + p.d, where=under)
+        np.log(logv, out=logv)
+        np.add(logz, _log(p.theta), out=out)
+        np.subtract(out, lnx, out=out)
         np.subtract(out, z, out=out)
-        np.add(out, logw, out=out)
-        np.add(out, np.multiply(p.theta - 1.0, l1mez, out=t), out=out)
-    # deep right tail: cs - z -> -inf, not inf - inf
-    np.copyto(out, -np.inf, where=np.isnan(out, out=mask))
+        np.add(out, logv, out=out)
+        np.add(out, np.multiply(p.theta - 1.0, l1mez, out=_scratch(ws, "t", out)), out=out)
+    # deep right tail: log z - z -> -inf, not inf - inf
+    nan = np.isnan(out, out=_scratch(ws, "mask", out, bool))
+    if nan.any():
+        np.copyto(out, -np.inf, where=nan)
     return np.minimum(out, _LOG_MAX, out=out)
 
 

@@ -199,81 +199,68 @@ def loglik_grad(p: EgwgParams, data: Dataset) -> np.ndarray:
     return _grad(p, x, dist._inner(p.a, p.b, p.c, p.d, x))
 
 
-def _grad(p, x: np.ndarray, k: tuple, ws=None) -> np.ndarray:
+def _grad(p, x: np.ndarray, k: dist._Kernel, ws=None) -> np.ndarray:
     """loglik_grad at p from the kernel k = dist._inner(a, b, c, d, x, ws).
 
-    The terms of each sum are formed in ws's arrays (fresh ones when ws is
-    None).  p may be k laws as dist._Laws columns over ws's (k, n) arrays;
-    the result is then (k, 5), row i the gradient of law i bit for bit: the
-    sums run along each row, and the assembly below is plain arithmetic,
-    which rounds the same on numpy's arrays as on floats, but for b ** 2,
-    which is taken row by row.
+    The terms of each sum are formed from k's columns in ws's arrays (fresh
+    ones when ws is None), with no transcendental but one exp.  With
+    V = (theta - 1) z / (e^z - 1) - z, y = s / W, W = 1 + (c d / b) s - e^{-c s}
+    and M = y (1 + d / b + (c d / b) s) + V s / (1 - e^{-c s}):
+
+        dL/da = (n + sum V) / a
+        dL/db = n / b + sum log x + sum V log x - (c d / b^2) sum y
+        dL/dc = sum M
+        dL/dd = c sum M log x + (c / b) sum y
+        dL/dtheta = n / theta + sum log(1 - e^{-z})
+
+    p may be k laws as dist._Laws columns over ws's (k, n) arrays; the
+    result is then (k, 5), row i the gradient of law i bit for bit: the
+    plain sums run along each row as numpy's pairwise sum, the weighted ones
+    as einsum's loop (never BLAS, so no sum depends on the thread count;
+    its row sums equal its one-row sum for rows of up to 8192 points, and a
+    block's rows hold at most _PASS_POINTS // 2), and the assembly below is
+    plain arithmetic, which rounds the same on numpy's arrays as on floats.
     """
     n = x.size
     a, b, c, d, th = p.a, p.b, p.c, p.d, p.theta
-    lnx, s, cs, lg, logz, z, lnP = k
-    tmp = dist._scratch(ws, "t", x)
-    prod = dist._scratch(ws, "grad.prod", x)
-    mask = dist._scratch(ws, "mask", x, bool)
+    lnx, s, _, em, logz, z, lnP, under = k
+    V = dist._scratch(ws, "grad.V", x)
+    y = dist._scratch(ws, "grad.y", x)
+    M = dist._scratch(ws, "grad.M", x)
+    t = dist._scratch(ws, "t", x)
     rows = isinstance(p, dist._Laws)
 
     def total(terms):
         """The sum of terms, one per row."""
         return terms.sum(axis=1, keepdims=True) if rows else terms.sum()
 
-    def sums(terms):
-        """(sum of terms, sum of terms * log x)."""
-        return total(terms), total(np.multiply(terms, lnx, out=prod))
+    def total_lnx(terms):
+        """The sum of terms * log x, one per row."""
+        return np.einsum("ij,j->i", terms, lnx)[:, None] if rows else np.einsum("i,i", terms, lnx)
 
     with np.errstate(all="ignore"):
-        # log(e^z - 1), carried as log z below z = e^-36
-        lem1z = dist._log_expm1(np.maximum(z, 1e-300, out=tmp),
-                                out=dist._scratch(ws, "grad.lem1z", x), ws=ws)
-        np.copyto(lem1z, logz, where=np.less(logz, -36.0, out=mask))
-        # W = 1 + (c d / b) s - e^{-cs}, with no cancellation
-        W = np.negative(cs, out=dist._scratch(ws, "grad.W", x))
-        np.subtract(np.multiply(c * d / b, s, out=tmp), np.expm1(W, out=W), out=W)
-
-        S_g, S_glnx = sums(np.exp(lg, out=tmp))                  # g = x^b (e^{cs} - 1)
-        S_tg, S_tglnx = sums(np.exp(np.subtract(lg, lem1z, out=tmp), out=tmp))   # g / (e^z - 1)
-        E = np.multiply(b, lnx, out=dist._scratch(ws, "grad.E", x))
-        np.add(np.add(E, np.multiply(d, lnx, out=tmp), out=E), cs, out=E)   # log(x^b s e^{cs})
-        S_xbsE, S_xbsElnx = sums(np.exp(E, out=tmp))
-        S_tc, S_tclnx = sums(np.exp(np.subtract(E, lem1z, out=tmp), out=tmp))
-        S_s, S_slnx = sums(s)
-
-        # w_b = s / W, w_c = s (d / b + e^{-cs}) / W and
-        # w_d = (c / b) s (1 + d log x + b e^{-cs} log x) / W; where c s
-        # underflows, W = c s (b + d) / b to within a factor 1 + c s
-        under = np.equal(cs, 0.0, out=mask)
-        any_under = under.any()
-        w = np.divide(s, W, out=tmp)
-        if any_under:
-            np.copyto(w, b / (c * (b + d)), where=under)
-        S_wb = total(w)
-        e_cs = np.exp(np.negative(cs, out=E), out=E)
-        w = np.divide(np.multiply(s, np.add(d / b, e_cs, out=tmp), out=tmp), W, out=tmp)
-        if any_under:
-            np.copyto(w, 1.0 / c, where=under)
-        S_wc = total(w)
-        np.multiply(np.multiply(b, e_cs, out=e_cs), lnx, out=e_cs)
-        w = np.add(np.add(1.0, np.multiply(d, lnx, out=tmp), out=tmp), e_cs, out=tmp)
-        np.divide(np.multiply(np.multiply(c / b, s, out=prod), w, out=w), W, out=w)
-        if any_under:
-            np.add(1.0 / (b + d), lnx, out=w, where=under)
-        S_wd = total(w)
-
-        b2 = np.array([[v ** 2] for v in b[:, 0]]) if rows else b ** 2
-        da = n / a - S_g + (th - 1.0) * S_tg
-        db = (n / b + lnx.sum() - a * S_glnx
-              + (th - 1.0) * a * S_tglnx
-              - (c * d / b2) * S_wb)
-        dc = (S_s - a * S_xbsE
-              + (th - 1.0) * a * S_tc
-              + S_wc)
-        dd = (c * S_slnx - a * c * S_xbsElnx
-              + (th - 1.0) * a * c * S_tclnx
-              + S_wd)
+        # z / (e^z - 1) = e^{log z - log(e^z - 1)}, and log(e^z - 1) = log(1 - e^{-z}) + z
+        np.subtract(logz, np.add(lnP, z, out=V), out=V)
+        np.multiply(th - 1.0, np.exp(V, out=V), out=V)
+        np.subtract(V, z, out=V)
+        # W = (c d / b) s - em, with no cancellation; where c s underflows,
+        # W = c s (b + d) / b to within a factor 1 + c s
+        u = np.multiply(c * d / b, s, out=t)
+        np.divide(s, np.subtract(u, em, out=y), out=y)
+        if under is not None:
+            np.copyto(y, b / (c * (b + d)), where=under)
+        # s / (1 - e^{-c s}) = -s / em, which tends to 1 / c where c s underflows
+        np.multiply(y, np.add(u, 1.0 + d / b, out=t), out=t)
+        np.divide(np.multiply(s, V, out=M), em, out=M)
+        if under is not None:
+            np.divide(V, -c, out=M, where=under)
+        np.subtract(t, M, out=M)
+        S_y = total(y)
+        lnx_sum = lnx.sum() if ws is None else ws.lnx_sum
+        da = (n + total(V)) / a
+        db = n / b + lnx_sum + total_lnx(V) - c * d / b / b * S_y
+        dc = total(M)
+        dd = c * total_lnx(M) + c / b * S_y
         dth = n / th + total(lnP)
     return np.hstack([da, db, dc, dd, dth]) if rows else np.array([da, db, dc, dd, dth])
 
@@ -287,7 +274,7 @@ def profile_theta(a: float, b: float, c: float, d: float, data: Dataset) -> floa
     if min(a, b, c, d) <= 0.0:
         raise InvalidParametersError("profile_theta requires a, b, c, d > 0")
     with np.errstate(all="ignore"):
-        theta = _theta_hat(data.n, dist._inner(a, b, c, d, data.values)[6].sum())
+        theta = _theta_hat(data.n, dist._inner(a, b, c, d, data.values).lnP.sum())
     if not math.isfinite(theta):
         raise LeftTailUnderflowError("profile sum degenerate under floating point")
     return theta
@@ -354,7 +341,7 @@ class _Objective:
         x = ws.x
         with np.errstate(all="ignore"):
             k = dist._inner(a, b, c, d, x, ws=ws)
-            theta = _theta_hat(self.data.n, k[6].sum())
+            theta = _theta_hat(self.data.n, k.lnP.sum())
             if not math.isfinite(theta):
                 return math.inf, np.full(4, math.nan)
             p = EgwgParams(a, b, c, d, theta)
@@ -376,7 +363,7 @@ class _Objective:
         a, b, c, d = P.T[:, :, None]
         with np.errstate(all="ignore"):
             k = dist._inner(a, b, c, d, x, ws=ws)
-            theta = np.array([_theta_hat(self.data.n, v) for v in k[6].sum(axis=1)])
+            theta = np.array([_theta_hat(self.data.n, v) for v in k.lnP.sum(axis=1)])
             tenable = np.isfinite(theta)
             theta[~tenable] = 1.0   # an untenable row is evaluated at theta = 1 and set aside below
             p = dist._Laws(a, b, c, d, theta[:, None])
@@ -401,8 +388,9 @@ def _weibull_shape(x: np.ndarray) -> float:
 
 def _anchors(x: np.ndarray, n_restarts: int) -> list:
     """Deterministic starting points: Gompertz/Weibull heuristics plus a
-    scaled grid over the shape pair with median-matched rates."""
-    med = float(np.median(x))
+    scaled grid over the shape pair with median-matched rates; x is sorted."""
+    n = x.size
+    med = float(x[(n - 1) // 2:n // 2 + 1].mean())   # np.median, which would load numpy.ma
     M = float(x.max())
     # the Gompertz competitor's hazard is a e^{cx}; the core rate is a / c
     a_gd, c_gd = submodels.fit_competitor("gd", x).params

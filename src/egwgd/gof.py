@@ -55,6 +55,14 @@ class GofReport:
     n: int
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """np.unique of sorted x, without loading numpy.ma as np.unique does."""
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 def _ks_distance(x: np.ndarray, distinct: np.ndarray, F: np.ndarray) -> float:
     """D of sorted data x, given F at its distinct values (see ks_statistic)."""
     n = x.size
@@ -71,7 +79,7 @@ def ks_statistic(cdf_fn: Callable, values) -> float:
     cdf_fn is called on one value at a time.
     """
     x = np.sort(np.asarray(values, dtype=float))
-    distinct = np.unique(x)
+    distinct = _distinct(x)
     return _ks_distance(x, distinct, np.asarray([float(cdf_fn(v)) for v in distinct]))
 
 
@@ -126,7 +134,7 @@ def compare(values, models: Sequence[FittedModel]) -> tuple[list, dict]:
     """
     x = np.sort(np.asarray(values, dtype=float))
     n = x.size
-    distinct = np.unique(x)
+    distinct = _distinct(x)
     reports = []
     for m in models:
         F = np.asarray(m.cdf(distinct), dtype=float)

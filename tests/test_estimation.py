@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -64,6 +65,35 @@ CLAMP_SAMPLE = Dataset(np.append(sample(EgwgParams(0.5, 1.0, 0.5, 1.0, 1.0), 999
 # the n = 20000 midpoint-quantile sample of the recovery law that perfbench's
 # sample-fit workload fits
 BIG_SAMPLE = Dataset(dist._batch_quantile(RECOVERY_TRUTH, (np.arange(20000) + 0.5) / 20000))
+
+# the n = 500 sample of law 3 of generator seed 1 in tests/sweep.py's 72-law sweep
+SWEEP_SAMPLE = Dataset(sample([random_params(np.random.default_rng(1)) for _ in range(4)][3],
+                              500, 1000 * 1 + 10 * 3 + 500))
+
+TRANSCENDENTAL = ("exp", "expm1", "log", "log1p", "power", "sqrt")
+
+
+class _CountingNumpy:
+    """Stands in for a module's np and counts, by name, each numpy function
+    call that receives an array of n elements; ndarray methods such as
+    .sum() are not seen."""
+
+    def __init__(self, n):
+        self.n = n
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def call(*args, **kwargs):
+            if any(isinstance(v, np.ndarray) and v.shape[-1:] == (self.n,)
+                   for v in (*args, *kwargs.values())):
+                self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return call
 
 
 def _spy_stages(monkeypatch):
@@ -427,6 +457,35 @@ class TestObjective:
             fd[i] = (up - dn) / (2.0 * h)
         assert np.max(np.abs(gu - fd)) <= 1e-4 * np.max(np.abs(fd))
 
+    @pytest.mark.parametrize("name", ["clamp", "retry", "sweep"])
+    @given(u=BOX_POINTS)
+    def test_gradient_matches_central_differences_off_aarset(self, name, u):
+        data = {"clamp": CLAMP_SAMPLE, "retry": RETRY_SAMPLE, "sweep": SWEEP_SAMPLE}[name]
+        obj = _Objective(data)
+        u = np.array(u)
+        f, gu = obj.value_grad(u)
+        assume(math.isfinite(f) and np.all(np.isfinite(gu)))
+        h = 1e-6
+        fd = np.empty(4)
+        for i, e in enumerate(h * np.eye(4)):
+            up, dn = obj.value_grad(u + e)[0], obj.value_grad(u - e)[0]
+            assume(math.isfinite(up) and math.isfinite(dn))
+            fd[i] = (up - dn) / (2.0 * h)
+        assert np.max(np.abs(gu - fd)) <= 1e-4 * np.max(np.abs(fd))
+
+    def test_gradient_is_finite_where_natural_space_sums_overflowed(self, aarset_data):
+        # the gradient once summed x^b x^d e^{c x^d} before it multiplied by
+        # a = 9.2e-11, so dL/dc and dL/dd overflowed here at -L = 8.4e295;
+        # its sums now take a in through z
+        obj = _Objective(aarset_data)
+        u = np.array([-23.111, 0.837, -1.689, 0.614])
+        f, gu = obj.value_grad(u)
+        assert math.isfinite(f) and np.all(np.isfinite(gu))
+        h = 1e-6
+        fd = np.array([(obj.value_grad(u + e)[0] - obj.value_grad(u - e)[0]) / (2.0 * h)
+                       for e in h * np.eye(4)])
+        assert np.max(np.abs(gu - fd)) <= 1e-4 * np.max(np.abs(fd))
+
     # fit evaluates the points of all its runs as the rows of one block; each
     # row must be what the point alone gives, or the runs would not be the
     # runs L-BFGS-B makes alone
@@ -445,6 +504,39 @@ class TestObjective:
             if f1 < math.inf:   # at an untenable point only the value is defined
                 np.testing.assert_array_equal(gi, g1)
 
+    def test_a_block_of_the_longest_rows_is_its_rows_bit_for_bit(self):
+        # a block's rows are at most _PASS_POINTS // 2 = 8192 points long;
+        # up to there einsum sums each row as its one-row call does
+        n = estimation._PASS_POINTS // 2
+        data = Dataset(dist._batch_quantile(RECOVERY_TRUTH, (np.arange(n) + 0.5) / n))
+        p = RECOVERY_TRUTH
+        u = np.log([p.a, p.b, p.c, p.d]) + np.random.default_rng(8).normal(0.0, 0.1, (2, 4))
+        f, g = _Objective(data).value_grad(u)
+        assert np.all(np.isfinite(f))
+        one = _Objective(data)
+        for ui, fi, gi in zip(u, f, g):
+            f1, g1 = one.value_grad(ui)
+            assert fi == f1
+            np.testing.assert_array_equal(gi, g1)
+
+    def test_an_evaluation_at_n_20000_makes_few_passes_over_the_data(self, monkeypatch):
+        # a counter, not a wall time: the numpy calls that one one-row
+        # evaluation makes over the data (91, 19 of them transcendental,
+        # before the kernel took each transcendental once)
+        p = RECOVERY_TRUTH
+        u = np.log([p.a, p.b, p.c, p.d])
+        obj = _Objective(BIG_SAMPLE)
+        obj.value_grad(u)
+        counter = _CountingNumpy(BIG_SAMPLE.n)
+        monkeypatch.setattr(dist, "np", counter)
+        monkeypatch.setattr(estimation, "np", counter)
+        f, gu = obj.value_grad(u + 0.01)
+        monkeypatch.undo()
+        assert math.isfinite(f) and np.all(np.isfinite(gu))
+        assert counter.calls["exp"] > 0
+        assert sum(counter.calls.values()) <= 68
+        assert sum(counter.calls[name] for name in TRANSCENDENTAL) <= 12
+
     def test_a_column_takes_each_law_s_log_from_math_log(self):
         # numpy's log differs from math.log in the last bit on some floats
         # (on a few in 10^4 of these with numpy 2.4 on AVX-512), often too
@@ -455,7 +547,8 @@ class TestObjective:
 
     @pytest.mark.parametrize("d", [0.5, 1.0, 2.0])
     def test_is_the_public_loglik_bit_for_bit_at_n_20000(self, d):
-        # numpy evaluates x ** 0.5 as sqrt(x); the workspace must keep those bits
+        # x^d is e^{d log x} on every path; the workspace's log x and its sum
+        # must be the bits that fresh arrays give
         u = np.log([RECOVERY_TRUTH.a, RECOVERY_TRUTH.b, 1e-3, d])
         a, b, c, d_u = np.exp(u)
         assert d_u == d
@@ -721,8 +814,9 @@ class TestFit:
             fit(Dataset(np.full(6, 3.0)), FitConfig(n_restarts=2))
 
     def test_an_overflowed_gradient_is_no_stationary_terminus(self, aarset_data, monkeypatch):
-        # -L is finite here (8.4e295), but dL/dc and dL/dd overflow to -inf
-        u = np.array([-23.111, 0.837, -1.689, 0.614])
+        # -L is finite here (7.2e300), but dL/da = (n + sum V) / a overflows
+        # to -inf at a = 5.0e-11
+        u = np.array([-23.712, -5.376, -0.919, 0.520])
         f, gu = _Objective(aarset_data).value_grad(u)
         assert math.isfinite(f) and not np.all(np.isfinite(gu))
         lo, hi = np.log(FitConfig().box).T

@@ -131,6 +131,54 @@ def test_fits_start_no_worker(argv):
     assert child.threads == 0
 
 
+@pytest.mark.parametrize("argv", [
+    COMMANDS["fit_egwgd"],
+    ["compare", "--data", "aarset", "--models", "egwgd,ed,gd", "--restarts", "1"],
+], ids=["fit", "compare"])
+def test_fits_load_no_numpy_ma(argv):
+    # the anchors' median and the K-S distinct values are read off the
+    # sorted data; np.median and np.unique would load numpy.ma
+    child = run_child(argv)
+    assert child.code == 0
+    assert not {m for m in child.numpy if m == "numpy.ma" or m.startswith("numpy.ma.")}
+
+
+# prints OPENBLAS_NUM_THREADS, then the process's thread count (-1 where
+# /proc/self/task is missing), after importing the module named by argv[1]
+_BLAS_CHILD = """
+import importlib, os, sys
+importlib.import_module(sys.argv[1])
+task = "/proc/self/task"
+print(os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir(task)) if os.path.isdir(task) else -1)
+"""
+
+
+def blas_child(module, threads=None):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run([sys.executable, "-c", _BLAS_CHILD, module],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    value, count = proc.stdout.split()
+    return value, int(count)
+
+
+def test_cli_runs_blas_on_one_thread_where_the_variable_is_unset():
+    value, threads = blas_child("egwgd.cli")
+    assert value == "1"
+    assert threads in (1, -1)   # OpenBLAS started no pool
+
+
+def test_cli_keeps_the_users_blas_setting():
+    assert blas_child("egwgd.cli", "2")[0] == "2"
+
+
+def test_library_modules_leave_the_blas_variable_unset():
+    assert blas_child("egwgd.estimation")[0] == "None"
+
+
 def test_public_names_are_the_defining_modules_objects():
     modules = [importlib.import_module(f"egwgd.{m}") for m in SUBMODULES]
     for name in egwgd.__all__:
