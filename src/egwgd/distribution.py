@@ -93,7 +93,8 @@ class _Workspace:
     shaped like x, or (k, n) after ``rows(k)``, when a pass evaluates k > 1
     laws given as (k, 1) parameter columns, one law per row (see _Laws).
     The kernel functions take ``ws=None`` from the public evaluators and
-    then make fresh arrays.
+    then make fresh arrays, as does the theta < 1 clamp's pass over its one
+    point (see _log_f).
     """
 
     def __init__(self, x: np.ndarray):
@@ -103,7 +104,6 @@ class _Workspace:
         self._k = self._cap = 1
         self._full = {}        # name -> (cap, n) array, cap the most laws a pass has had
         self._arrays = {}      # name -> its view for the current pass
-        self._clamped = None
 
     def rows(self, k: int) -> None:
         """Shape the arrays for a pass of k laws: (k, n), or like x for one law."""
@@ -124,17 +124,6 @@ class _Workspace:
             a = self._full[name] = np.empty((self._cap, self.x.size), dtype)
             out = self._arrays[name] = self._view(a)
         return out
-
-    def clamped(self, lo: float) -> "_Workspace":
-        """The workspace over max(x, lo), shaped like x, whose arrays are apart from these."""
-        ws = self._clamped
-        if ws is None:
-            ws = self._clamped = _Workspace(np.maximum(self.x, lo))
-        else:
-            np.maximum(self.x, lo, out=ws.x)
-            np.log(ws.x, out=ws.lnx)
-            ws.lnx_sum = ws.lnx.sum()
-        return ws
 
 
 class _Laws(NamedTuple):
@@ -304,38 +293,26 @@ def _log_f(p, xs: np.ndarray, k: _Kernel, ws=None) -> tuple[np.ndarray, np.ndarr
     log f is read off the kernel's columns (see _log_f_terms), in a form
     that evaluates the b -> 0 limit directly instead of producing 0 * inf.
     For theta < 1, where f blows up as x -> 0+, log f is clamped at the
-    point where F = 1e-300; only then is the kernel evaluated a second
-    time, at the clamped points
-    (given ws, in its clamped workspace, so that k stays intact).  p is one
-    law, or k laws as _Laws columns over ws's (k, n) arrays; a row that
-    needs the clamp gets it alone, as its law would.
+    point x_c where F = 1e-300: log f(x_c) comes from a kernel pass over
+    that one point, and every x < x_c takes it.  p is one law, or k laws as
+    _Laws columns over ws's (k, n) arrays; a row that needs the clamp gets
+    it alone, as its law would.  Each operation acts on each element alone,
+    so the one-point value is the one a pass over all the clamped points
+    would give.
     """
-    log_F = np.multiply(p.theta, k.lnP, out=_scratch(ws, "log_F", xs))
-    out = _scratch(ws, "log_f", xs)
-
-    def tiny():
-        return np.less(log_F, _LOG_TINY, out=_scratch(ws, "log_F.tiny", xs, bool))
-
-    if not isinstance(p, _Laws):
-        lo = _clamp_point(p) if p.theta < 1.0 and tiny().any() else None
-        if lo is not None:
-            if ws is None:
-                xs = np.maximum(xs, lo)
-            else:
-                ws = ws.clamped(lo)
-                xs = ws.x
-            k = _inner(p.a, p.b, p.c, p.d, xs, ws=ws)
-        return _log_f_terms(p, k, ws, out), log_F
-    _log_f_terms(p, k, ws, out)
-    clamp = p.theta[:, 0] < 1.0
+    log_F = np.multiply(p.theta, k.lnP, out=_scratch(ws, "log_F", k.lnP))
+    out = _log_f_terms(p, k, ws, _scratch(ws, "log_f", k.lnP))
+    clamp = np.ravel(p.theta) < 1.0
     if clamp.any():
-        clamp &= tiny().any(axis=1)
+        tiny = np.atleast_2d(np.less(log_F, _LOG_TINY, out=_scratch(ws, "log_F.tiny", k.lnP, bool)))
+        clamp &= tiny.any(axis=1)
     for i in np.flatnonzero(clamp):
-        q = p.law(i)
+        q = p.law(i) if isinstance(p, _Laws) else p
         lo = _clamp_point(q)
         if lo is not None:
-            cws = ws.clamped(lo)
-            _log_f_terms(q, _inner(q.a, q.b, q.c, q.d, cws.x, ws=cws), cws, out[i])
+            at = np.array([lo])
+            f_lo = _log_f_terms(q, _inner(q.a, q.b, q.c, q.d, at), None, np.empty(1))
+            np.copyto(np.atleast_2d(out)[i], f_lo, where=np.less(xs, lo, out=tiny[i]))
     return out, log_F
 
 
@@ -512,35 +489,15 @@ def median(p: EgwgParams) -> float:
     return quantile(p, 0.5)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MODE_GRID = 512   # points in mode's log-spaced scan
-_GOLDEN_ITERS = 200   # 0.618^200 = 1e-42: the 1e-14 width test stops the search first
-
-
-def _golden_max(fn, lo: float, hi: float) -> float:
-    """Golden-section maximiser of a unimodal fn on [lo, hi]."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(_GOLDEN_ITERS):
-        if hi - lo <= 1e-14 * (abs(lo) + abs(hi)):
-            break
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = fn(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = fn(x1)
-    return 0.5 * (lo + hi)
 
 
 def mode(p: EgwgParams) -> float:
     """Maximiser of the density over (0, inf); 0.0 denotes a boundary mode.
 
     Scans a 512-point log-spaced grid between the 1e-6 and 1 - 1e-6
-    quantiles, then refines with golden-section search.  When the supremum
+    quantiles, then refines with bounded Brent (``optimize``'s port of
+    scipy's) to Brent's own relative tolerance.  When the supremum
     is approached as x -> 0+ (e.g. theta < 1, or decreasing sub-family
     densities), the boundary mode 0.0 is reported.  Flat ties resolve to the
     leftmost point.
@@ -560,7 +517,8 @@ def mode(p: EgwgParams) -> float:
         bracket = (grid[i - 1], hi)
     else:
         bracket = (grid[i - 1], grid[i + 1])
-    return _golden_max(lambda x: float(log_pdf(p, x)), *bracket)
+    from .optimize import minimize_scalar_bounded   # here: eval and sample never load it
+    return minimize_scalar_bounded(lambda x: -float(log_pdf(p, x)), *bracket, xatol=0.0)
 
 
 def sample(p: EgwgParams, n: int, seed: int) -> np.ndarray:

@@ -5,9 +5,10 @@ densities.  The exponentiation parameter theta always has a closed-form
 conditional MLE given (a, b, c, d), so the search runs over the four
 remaining parameters in log space.  Each evaluation makes one pass of the
 distribution's inner kernel over the data, and theta-hat, the log-likelihood
-and its analytic gradient are all read from it.  The gradient is derived
-directly from the log-likelihood; a finite-difference property test
-arbitrates it.
+and its analytic gradient are all read from it; where log f's theta < 1
+clamp acts, one more pass over the single clamp point gives the clamped
+value.  The gradient is derived directly from the log-likelihood; a
+finite-difference property test arbitrates it.
 
 The fit's objective owns one workspace over the data (distribution's
 _Workspace): log x is computed once, and the kernel, log f and the
@@ -39,7 +40,6 @@ gradient vanishes.  See FitConfig.box.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -158,9 +158,6 @@ class FitResult:
             "restarts_used": self.restarts_used,
             "below_zero": list(self.below_zero),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +329,9 @@ class _Objective:
         return f, g
 
     def _one(self, u: np.ndarray):
-        """(f, df/du) at one point from one dist._inner pass (two where log_pdf's
-        theta < 1 clamp acts), with floats for the law over 1-D arrays."""
+        """(f, df/du) at one point from one dist._inner pass over the data (plus
+        one over the single clamp point where log f's theta < 1 clamp acts),
+        with floats for the law over 1-D arrays."""
         self.n_evals += 1
         a, b, c, d = np.exp(u)
         ws = self.ws
@@ -353,8 +351,8 @@ class _Objective:
 
     def _block(self, u: np.ndarray):
         """_one at each of the k > 1 rows of u, bit for bit, from one
-        dist._inner pass over (k, n) arrays (plus one for each row that the
-        clamp acts on)."""
+        dist._inner pass over (k, n) arrays (plus one over the single clamp
+        point of each row that the clamp acts on)."""
         self.n_evals += len(u)
         ws = self.ws
         ws.rows(len(u))

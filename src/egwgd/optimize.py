@@ -30,7 +30,8 @@ with a function; ``estimation.fit`` drives its restarts in lock-step and
 evaluates their points together.
 
 Nothing here is public API: ``estimation`` and ``submodels`` import it,
-and ``numerics.find_root_increasing`` imports ``brentq`` when it runs.
+and ``numerics.find_root_increasing`` and ``distribution.mode`` import
+``brentq`` and the bounded Brent when they run.
 """
 
 from __future__ import annotations

@@ -18,9 +18,10 @@ Run it from the repository root (pytest does not collect this file):
 
 It prints the result as JSON, and writes it to FILE with --out.  With
 --baseline, a file that an earlier run wrote, it then prints the relative
-change of each fit's -L and the two runs' totals.  It exits 1 if a fit
-converged in the baseline and no longer does, or if its -L got worse by
-more than 1e-9 relative.
+change of each fit's -L, the two runs' totals, and how many fits (Aarset's
+among them) keep their -L bit for bit with the same evaluations.  It exits
+1 if a fit converged in the baseline and no longer does, or if its -L got
+worse by more than 1e-9 relative.
 """
 
 import argparse
@@ -112,11 +113,13 @@ def compare(new, old):
     """Lines that set new against old, and whether new stays within the gate."""
     key = lambda r: (r["seed"], r["law"], r["n"])   # noqa: E731
     before = {key(r): r for r in old["fits"]}
-    lines, ok = [], True
-    for r, o in [(new["aarset"], old["aarset"])] + [(r, before[key(r)]) for r in new["fits"]]:
+    lines, ok, same = [], True, 0
+    pairs = [(new["aarset"], old["aarset"])] + [(r, before[key(r)]) for r in new["fits"]]
+    for r, o in pairs:
         rel = (r["neg_loglik"] - o["neg_loglik"]) / abs(o["neg_loglik"])
         bad = rel > WORSE_BY or (o["converged"] and not r["converged"])
         ok = ok and not bad
+        same += r["neg_loglik"] == o["neg_loglik"] and r["n_evals"] == o["n_evals"]
         name = f"seed {r['seed']} law {r['law']} n {r['n']}" if "seed" in r else "aarset"
         lines.append(f"{'WORSE ' if bad else ''}{name}: "
                      f"-L {o['neg_loglik']!r} -> {r['neg_loglik']!r} (rel {rel:+.2e}), "
@@ -124,6 +127,7 @@ def compare(new, old):
                      f"converged {o['converged']} -> {r['converged']}")
     for name, v in new["totals"].items():
         lines.append(f"{name}: {old['totals'].get(name)} -> {v}")
+    lines.append(f"identical: {same} of {len(pairs)} fits keep -L bit for bit and the same n_evals")
     return lines, ok
 
 

@@ -168,6 +168,14 @@ class TestPdf:
             n += 1
         assert n >= 10
 
+    def test_the_clamp_evaluates_the_kernel_at_one_point(self):
+        p, xc = next(clamp_laws())
+        xs = np.array([xc * 1e-12, xc * 0.5, xc, xc * 2.0, quantile(p, 0.5)])
+        with mock.patch.object(distribution, "_inner", wraps=distribution._inner) as spy:
+            log_pdf(p, xs)
+        # one pass over xs, then one over the clamp point
+        assert [np.size(call.args[4]) for call in spy.call_args_list] == [xs.size, 1]
+
     @pytest.mark.parametrize("x", [1.5698228573767515e-151, 1.57e-151, 1e-140])
     def test_finite_where_the_kernel_underflows(self, x):
         # y = c x^d underflows to 0 here, while log y = log c + d log x does not;

@@ -340,11 +340,12 @@ def _edge_rows(name):
 class TestObjective:
     @staticmethod
     def count_kernel_passes(monkeypatch):
+        """The number of points that each later dist._inner call receives, in call order."""
         calls = []
         real = dist._inner
 
         def spy(*args, **kwargs):
-            calls.append(args)
+            calls.append(np.size(args[4]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(dist, "_inner", spy)
@@ -378,14 +379,28 @@ class TestObjective:
         for u in self.clamp_box_points(12, 400):
             calls.clear()
             f, _ = obj.value_grad(u)
-            passes = len(calls)
+            points = list(calls)
             a, b, c, d = np.exp(u)
             p = EgwgParams(a, b, c, d, profile_theta(a, b, c, d, CLAMP_SAMPLE))
             assert f == -loglik(p, CLAMP_SAMPLE)
             clamp = self.clamp_runs(p, CLAMP_SAMPLE)
-            assert passes == 1 + clamp   # the clamp's own pass at the clamped points
+            # the data's pass, and the clamp's own pass over the one clamp point
+            assert points == [CLAMP_SAMPLE.n] + [1] * int(clamp)
             clamped += clamp
         assert clamped >= 200
+
+    def test_a_block_row_clamps_with_a_pass_over_one_point(self, monkeypatch):
+        u = self.clamp_box_points(12, 8)
+        clamped = 0
+        for a, b, c, d in np.exp(u):
+            p = EgwgParams(a, b, c, d, profile_theta(a, b, c, d, CLAMP_SAMPLE))
+            clamped += self.clamp_runs(p, CLAMP_SAMPLE)
+        assert 0 < clamped < len(u)
+        obj = _Objective(CLAMP_SAMPLE)
+        assert obj.pass_rows >= len(u)
+        calls = self.count_kernel_passes(monkeypatch)
+        obj.value_grad(u)
+        assert calls == [CLAMP_SAMPLE.n] + [1] * clamped
 
     def test_gradient_matches_central_differences_on_tiny_x(self):
         obj = _Objective(CLAMP_SAMPLE)
