@@ -20,11 +20,12 @@ fit frees the objective's workspace once its L-BFGS-B runs are done.
 
 The fit's restarts run in lock-step, and each round the objective
 evaluates the point of every unfinished run as one row of a single kernel
-pass: the kernel takes k laws as parameter columns over (k, n) arrays
-(distribution's _Laws), and each row comes out bit for bit as that law
-alone gives it.  At the small n of typical lifetime data an evaluation's
-cost is numpy's per-call overhead, which the rows then share; each run
-still makes exactly the iterations it would make alone.
+pass.  One pass serves one row and k rows alike: k > 1 laws go to the
+kernel as parameter columns over (k, n) arrays (distribution's _Laws), one
+law as floats over 1-D arrays, and each row comes out bit for bit as that
+law alone gives it.  At the small n of typical lifetime data an
+evaluation's cost is numpy's per-call overhead, which the rows then share;
+each run still makes exactly the iterations it would make alone.
 
 The optimisers are the package's own (``optimize``): L-BFGS-B for the
 four-parameter search, and the ports of scipy's brentq and bounded Brent
@@ -301,12 +302,12 @@ class _Objective:
     from any point whose value or gradient is not finite.
     value_grad takes one point or a (k, 4) block of points, whose rows are
     evaluated together, max(1, _PASS_POINTS // n) rows per kernel pass, and
-    come out bit for bit as each point alone would (see dist._Laws).  A pass
-    of one row takes the one-point path, a law of floats over 1-D arrays,
-    whose numpy calls cost least; it is also what the rows of a block are
-    tested against.  Every pass writes into one workspace over the data (log x, computed once, and
-    the kernel's, log f's and the gradient's arrays), so after the first
-    pass of a size an evaluation allocates no array of the data's length.
+    come out bit for bit as each point alone would (see dist._Laws).  One
+    point is a block of one row, and a pass of one row takes the law as
+    floats over 1-D arrays, whose numpy calls cost least.  Every pass writes
+    into one workspace over the data (log x, computed once, and the
+    kernel's, log f's and the gradient's arrays), so after the first pass of
+    a size an evaluation allocates no array of the data's length.
     """
 
     def __init__(self, data: Dataset):
@@ -319,56 +320,37 @@ class _Objective:
         """(f, df/du) at the point u; at a (k, 4) block, f of shape (k,) and df/du (k, 4)."""
         u = np.asarray(u, dtype=float)
         if u.ndim == 1:
-            return self._one(u)
+            f, g = self._pass(u[None])
+            return float(f[0]), g[0]
         f = np.empty(len(u))
         g = np.empty((len(u), 4))
         for i in range(0, len(u), self.pass_rows):
-            block = u[i:i + self.pass_rows]
-            f[i:i + len(block)], g[i:i + len(block)] = (
-                self._block(block) if len(block) > 1 else self._one(block[0]))
+            f[i:i + self.pass_rows], g[i:i + self.pass_rows] = self._pass(u[i:i + self.pass_rows])
         return f, g
 
-    def _one(self, u: np.ndarray):
-        """(f, df/du) at one point from one dist._inner pass over the data (plus
-        one over the single clamp point where log f's theta < 1 clamp acts),
-        with floats for the law over 1-D arrays."""
-        self.n_evals += 1
-        a, b, c, d = np.exp(u)
-        ws = self.ws
-        ws.rows(1)
-        x = ws.x
-        with np.errstate(all="ignore"):
-            k = dist._inner(a, b, c, d, x, ws=ws)
-            theta = _theta_hat(self.data.n, k.lnP.sum())
-            if not math.isfinite(theta):
-                return math.inf, np.full(4, math.nan)
-            p = EgwgParams(a, b, c, d, theta)
-            ll = float(dist._log_f(p, x, k, ws)[0].sum())
-            # envelope theorem: dL/dtheta = 0 at the profiled theta, so the
-            # profiled gradient is the partial gradient; chain rule to log space
-            gu = -_grad(p, x, k, ws)[:4] * np.exp(u)
-        return (-ll if math.isfinite(ll) else math.inf), gu
-
-    def _block(self, u: np.ndarray):
-        """_one at each of the k > 1 rows of u, bit for bit, from one
-        dist._inner pass over (k, n) arrays (plus one over the single clamp
-        point of each row that the clamp acts on)."""
+    def _pass(self, u: np.ndarray):
+        """(f as a list of k floats, df/du of shape (k, 4)) at the k >= 1 rows of u,
+        from one dist._inner pass over the data (plus one over the single clamp
+        point of each row that log f's theta < 1 clamp acts on): one row's law
+        as floats over 1-D arrays, k > 1 laws as dist._Laws columns."""
         self.n_evals += len(u)
         ws = self.ws
         ws.rows(len(u))
         x = ws.x
         P = np.exp(u)
-        a, b, c, d = P.T[:, :, None]
+        a, b, c, d = P[0] if len(u) == 1 else P.T[:, :, None]
         with np.errstate(all="ignore"):
             k = dist._inner(a, b, c, d, x, ws=ws)
-            theta = np.array([_theta_hat(self.data.n, v) for v in k.lnP.sum(axis=1)])
-            tenable = np.isfinite(theta)
-            theta[~tenable] = 1.0   # an untenable row is evaluated at theta = 1 and set aside below
-            p = dist._Laws(a, b, c, d, theta[:, None])
-            f = -dist._log_f(p, x, k, ws)[0].sum(axis=1)
-            g = -_grad(p, x, k, ws)[:, :4] * P
-        f[~(tenable & np.isfinite(f))] = math.inf
-        return f, g
+            theta = [_theta_hat(self.data.n, v) for v in k.lnP.sum(axis=-1).reshape(-1)]
+            # an untenable row is evaluated at theta = 1 and set aside below
+            th = [t if t < math.inf else 1.0 for t in theta]
+            p = EgwgParams(a, b, c, d, th[0]) if len(u) == 1 else dist._Laws(
+                a, b, c, d, np.array(th)[:, None])
+            ll = dist._log_f(p, x, k, ws)[0].sum(axis=-1).reshape(-1)
+            # envelope theorem: dL/dtheta = 0 at the profiled theta, so the
+            # profiled gradient is the partial gradient; chain rule to log space
+            g = -_grad(p, x, k, ws)[..., :4] * P
+        return [-v if t < math.inf and math.isfinite(v) else math.inf for t, v in zip(theta, ll)], g
 
 
 def _weibull_shape(x: np.ndarray) -> float:
@@ -429,7 +411,9 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     A terminus counts as converged when its gradient, projected onto the
     feasible box, satisfies the stationarity check.  Only when the
     endpoint fails that check does a second L-BFGS-B run start from it,
-    with a fresh curvature memory; the better of the two endpoints is kept.  L-BFGS-B accepts only iterates
+    with a fresh curvature memory.  Each restart keeps the results of its
+    runs, and its terminus is the one with the least value (the first run's
+    on a tie).  L-BFGS-B accepts only iterates
     that pass its sufficient-decrease line search, so no endpoint is worse
     than its start.  The best converged terminus wins (ties resolve to the
     earliest restart).  If no restart converges the best point is returned
@@ -456,17 +440,17 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     lb = np.log([b[0] for b in cfg.box])
     ub = np.log([b[1] for b in cfg.box])
 
-    def stationarity(u, fu, gu):
-        """(max |projected gradient|, whether it passes the stationarity test)."""
-        proj = gu.copy()
-        at_lb = np.isclose(u, lb, rtol=0.0, atol=1e-12)
-        at_ub = np.isclose(u, ub, rtol=0.0, atol=1e-12)
+    def stationarity(r):
+        """(max |projected gradient|, whether it passes the stationarity test) at run result r."""
+        proj = r.jac.copy()
+        at_lb = np.isclose(r.x, lb, rtol=0.0, atol=1e-12)
+        at_ub = np.isclose(r.x, ub, rtol=0.0, atol=1e-12)
         proj[at_lb & (proj > 0.0)] = 0.0   # minimising: outward push is inert
         proj[at_ub & (proj < 0.0)] = 0.0
         pg = float(np.max(np.abs(proj)))
-        return pg, math.isfinite(fu) and pg <= _STATIONARITY_SCALE * max(1.0, abs(fu))
+        return pg, math.isfinite(r.fun) and pg <= _STATIONARITY_SCALE * max(1.0, abs(r.fun))
 
-    runs = []      # per restart: [first run's result, retry's result or None]
+    runs = []      # per restart: its runs' results, the first run's and the retry's if it ran
     active = []    # (restart index, run, the point it asks for)
 
     def start(k, u0):
@@ -475,7 +459,7 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
         active.append((k, run, next(run)))
 
     for k, anchor in enumerate(_anchors(x, cfg.n_restarts)):
-        runs.append([None, None])
+        runs.append([])
         start(k, np.clip(np.log(anchor), lb, ub))
     while active:
         f, g = obj.value_grad(np.array([u for _, _, u in active]))
@@ -484,44 +468,34 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
             try:
                 active.append((k, run, run.send((fk, gk))))
             except StopIteration as done:
-                if runs[k][0] is None:
-                    runs[k][0] = r1 = done.value
-                    if not stationarity(r1.x, r1.fun, r1.jac)[1]:
-                        # one fresh L-BFGS-B run from the endpoint, with no curvature memory
-                        start(k, r1.x)
-                else:
-                    runs[k][1] = done.value
+                runs[k].append(done.value)
+                if len(runs[k]) == 1 and not stationarity(done.value)[1]:
+                    # one fresh L-BFGS-B run from the endpoint, with no curvature memory
+                    start(k, done.value.x)
     n_evals = obj.n_evals
     del obj   # frees the objective's workspace before the curvature
 
-    termini = []
-    for k, (r1, r2) in enumerate(runs, start=1):
-        pg1, stat1 = stationarity(r1.x, r1.fun, r1.jac)
-        fu, u, stat = r1.fun, r1.x, stat1
-        if r2 is None:
-            retry = "retry skipped"
-        else:
-            if r2.fun < fu:
-                fu, u, stat = r2.fun, r2.x, stationarity(r2.x, r2.fun, r2.jac)[1]
-            retry = f"retry ran: nfev={r2.nfev} ({r2.message})"
+    termini = []   # per restart: (its best run's result, whether that is stationary)
+    for k, (r1, *retry) in enumerate(runs, start=1):
+        best = min([r1, *retry], key=lambda r: r.fun)   # the first run wins ties
         _log.debug("restart %d: L-BFGS-B nfev=%d (%s), max projected gradient %.3g; %s",
-                   k, r1.nfev, r1.message, pg1, retry)
-        termini.append((fu, u, stat))
+                   k, r1.nfev, r1.message, stationarity(r1)[0],
+                   f"retry ran: nfev={retry[0].nfev} ({retry[0].message})" if retry
+                   else "retry skipped")
+        termini.append((best, stationarity(best)[1]))
 
-    converged_termini = [t for t in termini if t[2]]
-    pool = converged_termini if converged_termini else termini
-    best = min(pool, key=lambda t: t[0])   # first minimum wins ties
-    converged = bool(best[2])
-    if not math.isfinite(best[0]):
+    best, converged = min([t for t in termini if t[1]] or termini,
+                          key=lambda t: t[0].fun)   # the earliest restart wins ties
+    if not math.isfinite(best.fun):
         raise DomainError(
             "no restart found an evaluable likelihood point; the data are "
             "degenerate for this family (e.g. zero spread) or the search box "
             "excludes every tenable parameter scale")
 
-    a, b, c, d = np.exp(best[1])
+    a, b, c, d = np.exp(best.x)
     theta = profile_theta(a, b, c, d, data)
     params = EgwgParams(a, b, c, d, theta)
-    ll = -float(best[0])   # the objective's value at the terminus is -loglik there
+    ll = -float(best.fun)   # the objective's value at the terminus is -loglik there
 
     # curvature can be uncomputable at a box-clamped terminus (a stencil may
     # step outside the positive orthant); report NaNs rather than fail

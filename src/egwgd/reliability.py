@@ -39,28 +39,26 @@ _TINY = float(np.finfo(float).tiny)
 
 
 def raw_moment(p: EgwgParams, r: int) -> float:
-    """E[X^r] as the integral of x^r f(x) over the positive half-line.
+    """E[X^r] as the integral of r x^(r-1) R(x) over the positive half-line.
 
-    Finite for every valid parameter vector (the right tail decays doubly
-    exponentially); r = 0 returns the normalisation 1.  Quadrature accuracy
-    failures propagate to the caller.
+    The map's width is mean_residual_life's, so r = 1 gives m(0) bit for bit.
+    Finite for every valid law (the right tail decays doubly exponentially);
+    r = 0 returns 1.  Quadrature accuracy failures propagate to the caller.
     """
     r = int(r)
     if r < 0:
         raise DomainError(f"moment order must be >= 0, got {r}")
     if r == 0:
         return 1.0
-    med = dist.quantile(p, 0.5)
-    scale = med * max(1, r)
 
     def f(x: np.ndarray) -> np.ndarray:
-        return x ** r * dist.pdf(p, x)
+        return r * x ** (r - 1) * dist.survival(p, x)
 
-    return integrate(f, 0.0, math.inf, scale=scale)
+    return integrate(f, 0.0, math.inf, scale=dist.quantile(p, _WIDTH_Q))
 
 
 def mttf(p: EgwgParams) -> float:
-    """Mean time to failure: the first raw moment.
+    """Mean time to failure: the first raw moment, mean_residual_life(p, 0).
 
     The same function serves the repair law, in which case the value is the
     mean time to repair (the laws share one functional form).

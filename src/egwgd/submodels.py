@@ -162,6 +162,13 @@ def _gd_core(spec: CompetitorSpec) -> EgwgParams:
     return EgwgParams(a / c, 0.0, c, 1.0, 1.0)
 
 
+def _frechet(spec: CompetitorSpec) -> tuple:
+    """(s, beta) of an inverse Weibull kind, whose CDF is exp(-s x^-beta):
+    s = 1 for IW, theta for GIW and alpha theta for EGIW."""
+    *rate, beta = (1.0, *spec.params) if spec.kind == "iw" else spec.params
+    return math.prod(rate), beta
+
+
 def competitor_cdf(spec: CompetitorSpec, x):
     """CDF of a competitor model at x > 0 (vectorised)."""
     xs = np.asarray(x, dtype=float)
@@ -173,13 +180,8 @@ def competitor_cdf(spec: CompetitorSpec, x):
         return np.exp(theta * np.log(-np.expm1(-a * xs)))
     if kind == "gd":
         return dist.cdf(_gd_core(spec), xs)
-    if kind == "iw":
-        return np.exp(-xs ** (-q[0]))
-    if kind == "giw":
-        theta, beta = q
-        return np.exp(-theta * xs ** (-beta))
-    alpha, theta, beta = q     # egiw
-    return np.exp(-alpha * theta * xs ** (-beta))
+    s, beta = _frechet(spec)
+    return np.exp(-s * xs ** (-beta))
 
 
 def competitor_log_pdf(spec: CompetitorSpec, x):
@@ -195,16 +197,8 @@ def competitor_log_pdf(spec: CompetitorSpec, x):
                     + (theta - 1.0) * np.log(-np.expm1(-a * xs)))
         if kind == "gd":
             return dist.log_pdf(_gd_core(spec), xs)
-        if kind == "iw":
-            theta = q[0]
-            return math.log(theta) - (theta + 1.0) * np.log(xs) - xs ** (-theta)
-        if kind == "giw":
-            theta, beta = q
-            return (math.log(theta * beta) - (beta + 1.0) * np.log(xs)
-                    - theta * xs ** (-beta))
-        alpha, theta, beta = q  # egiw
-        return (math.log(alpha * theta * beta) - (beta + 1.0) * np.log(xs)
-                - alpha * theta * xs ** (-beta))
+        s, beta = _frechet(spec)
+        return math.log(s * beta) - (beta + 1.0) * np.log(xs) - s * xs ** (-beta)
 
 
 def competitor_loglik(spec: CompetitorSpec, values) -> float:

@@ -5,6 +5,9 @@ laws drawn in order from ``np.random.default_rng(seed)``, times
 n in {30, 100, 500}.  The sample seed is 1000 seed + 10 law + n, and each
 fit uses the default 8 restarts.  The Aarset fit is reported beside them.
 
+Each fit's objective rounds are counted at ``estimation._Objective.value_grad``,
+which fit calls once per round with the points of every unfinished run:
+``rounds`` counts the calls and ``one_row_rounds`` those with one point.
 Every L-BFGS-B run that the fits start is watched at fit's seam,
 ``estimation._lbfgsb``.  The sweep counts each run's end message and each
 untenable point the run evaluates (a non-finite value or gradient).  For
@@ -72,19 +75,32 @@ def _watch(real, stats, ends):
     return run
 
 
-COUNTS = ("n_evals", "runs", "retries", "runs_at_cap", "abnormal", "untenable_evals",
-          "trials_after_untenable", "creeping_trials")
+def _count_rounds(real, stats):
+    """A stand-in for the objective's value_grad that counts rounds and one-row rounds."""
+    def value_grad(self, u):
+        stats["rounds"] += 1
+        stats["one_row_rounds"] += len(u) == 1
+        return real(self, u)
+
+    return value_grad
+
+
+COUNTS = ("n_evals", "runs", "retries", "runs_at_cap", "abnormal", "rounds", "one_row_rounds",
+          "untenable_evals", "trials_after_untenable", "creeping_trials")
 
 
 def _fit(data, messages):
     """One default fit's -L, convergence and COUNTS; its runs' end messages go to messages."""
-    stats = dict.fromkeys(COUNTS[-3:], 0)
+    stats = dict.fromkeys(COUNTS[-5:], 0)
     ends = Counter()
     real, estimation._lbfgsb = estimation._lbfgsb, _watch(estimation._lbfgsb, stats, ends)
+    value_grad = estimation._Objective.value_grad
+    estimation._Objective.value_grad = _count_rounds(value_grad, stats)
     try:
         res = fit(data)
     finally:
         estimation._lbfgsb = real
+        estimation._Objective.value_grad = value_grad
     messages.update(ends)
     runs = sum(ends.values())
     return {"neg_loglik": -res.loglik, "converged": res.converged, "n_evals": res.n_evals,

@@ -735,28 +735,32 @@ class TestFit:
 
     def test_passes_at_n_20000_hold_one_row(self, monkeypatch):
         # max(1, 2**14 // n) rows per pass: at n = 20000 the eight runs' block
-        # is evaluated one point at a time, in a workspace of one row
+        # is evaluated one point at a time, in a workspace of one row, with
+        # each law as floats (no dist._Laws columns)
         monkeypatch.setattr(estimation, "_LBFGSB_MAX_ITER", 1)
-        blocks, shapes = [], set()
-        value_grad, one = _Objective.value_grad, _Objective._one
+        blocks, rows, shapes = [], [], set()
+        value_grad, one_pass = _Objective.value_grad, _Objective._pass
 
         def block_spy(self, u):
             blocks.append(np.shape(u))
             return value_grad(self, u)
 
-        def one_spy(self, u):
-            out = one(self, u)
+        def pass_spy(self, u):
+            rows.append(len(u))
+            out = one_pass(self, u)
             shapes.update(a.shape for a in self.ws._full.values())
             return out
 
-        def no_block(self, u):
-            raise AssertionError(f"a pass of {len(u)} rows at n = 20000")
+        class NoLaws(dist._Laws):
+            def __new__(cls, *args):
+                raise AssertionError("a pass of one row built parameter columns")
 
         monkeypatch.setattr(_Objective, "value_grad", block_spy)
-        monkeypatch.setattr(_Objective, "_one", one_spy)
-        monkeypatch.setattr(_Objective, "_block", no_block)
+        monkeypatch.setattr(_Objective, "_pass", pass_spy)
+        monkeypatch.setattr(dist, "_Laws", NoLaws)
         fit(BIG_SAMPLE)
         assert blocks[0] == (8, 4)
+        assert rows and set(rows) == {1}
         assert shapes and {s[0] for s in shapes} == {1}
 
     def test_short_lbfgsb_retries_everywhere(self, aarset_data, monkeypatch):
