@@ -132,7 +132,7 @@ def _fit_model(name: str, values: np.ndarray, restarts: int, level: float):
     from . import estimation, submodels
     from .gof import FittedModel
 
-    name = submodels.KIND_ALIASES.get(name.lower(), name.lower())
+    name = submodels._kind(name)
     if name == "egwgd":
         cfg = estimation.FitConfig(n_restarts=restarts, ci_level=level)
         res = estimation.fit(estimation.Dataset(values), cfg)

@@ -22,6 +22,16 @@ AARSET.flags.writeable = False
 FIXTURES = {"aarset": AARSET}
 
 
+def _lifetimes(values) -> np.ndarray:
+    """values as a float array, if it holds at least one value and each is finite and > 0."""
+    v = np.asarray(values, dtype=float)
+    if v.size < 1:
+        raise DomainError("dataset must contain at least one value")
+    if np.any(~np.isfinite(v)) or np.any(v <= 0.0):
+        raise DomainError("all lifetimes must be finite and > 0")
+    return v
+
+
 def load_values(source: str) -> np.ndarray:
     """Load lifetimes from a fixture name or a text file.
 

@@ -50,6 +50,7 @@ import numpy as np
 
 from . import distribution as dist
 from . import submodels
+from .datasets import _lifetimes
 from .distribution import EgwgParams
 from .exceptions import (
     DegenerateInformationError,
@@ -87,11 +88,7 @@ class Dataset:
     label: str = ""
 
     def __post_init__(self):
-        v = np.sort(np.asarray(self.values, dtype=float))
-        if v.size < 1:
-            raise DomainError("dataset must contain at least one value")
-        if np.any(~np.isfinite(v)) or np.any(v <= 0.0):
-            raise DomainError("all lifetimes must be finite and > 0")
+        v = np.sort(_lifetimes(self.values))
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 

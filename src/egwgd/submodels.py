@@ -1,11 +1,13 @@
 """Named sub-families and the standalone competitor distributions.
 
-Two distinct views live here.  ``embed`` realises the catalogue of special
-cases of the five-parameter family as parameter assignments (a structural
-mapping).  The competitor families (ED, GED, GD, IW, GIW, EGIW) are the
-models the benchmark comparison fits side by side; each carries its own
-likelihood, closed-form or one-dimensional profile MLE, and the effective
-parameter count its information criteria use.
+Two distinct views live here, each stating a family once.  ``embed``
+realises the catalogue of special cases of the five-parameter family as
+the parameter assignments of ``_SUB_MODELS`` (a structural mapping).  The
+competitor families (ED, GED, GD, IW, GIW, EGIW) are the models the
+benchmark comparison fits side by side: ``_COMPETITORS`` holds each one's
+parameter names and the effective parameter count its information
+criteria use, and ``fit_competitor`` its closed-form or one-dimensional
+profile MLE.
 
 Note on the Gompertz competitor: its (a, c) are in the hazard-rate
 convention h(x) = a e^{c x}, so it evaluates through the core family at
@@ -15,12 +17,14 @@ keeps the literal assignment (a, 0, c, 1, 1).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import distribution as dist
+from .datasets import _lifetimes
 from .distribution import EgwgParams
 from .exceptions import InvalidParametersError, NotEmbeddableError
 from .numerics import numerical_hessian
@@ -40,33 +44,59 @@ __all__ = [
     "competitor_covariance",
 ]
 
-SUB_MODEL_PARAM_NAMES = {
-    "gwgd": ("a", "b", "c", "d"),
-    "gd": ("a", "c"),
-    "ggd": ("a", "c", "theta"),
-    "exp_mod_weibull_ext": ("a", "alpha", "d", "theta"),
-    "epd": ("a", "d", "c"),
-    "gepd": ("a", "d", "c", "theta"),
-    "chen": ("a", "d"),
-    "xie": ("a", "c", "d"),
-    "ed": ("a",),
-    "ged": ("a", "theta"),
+# kind -> its assignment: the function's parameters are the sub-model's, in
+# order, and it returns the (a, b, c, d, theta) they give.  The exponential
+# families return None: they are the degenerate c -> 0 limit.
+_SUB_MODELS = {
+    "gwgd": lambda a, b, c, d: (a, b, c, d, 1.0),
+    "gd": lambda a, c: (a, 0.0, c, 1.0, 1.0),
+    "ggd": lambda a, c, theta: (a, 0.0, c, 1.0, theta),
+    "exp_mod_weibull_ext": lambda a, alpha, d, theta: (a, 0.0, (1.0 / alpha) ** d, d, theta),
+    "epd": lambda a, d, c: (a, 0.0, c, d, 1.0),
+    "gepd": lambda a, d, c, theta: (a, 0.0, c, d, theta),
+    "chen": lambda a, d: (a, 0.0, 1.0, d, 1.0),
+    "xie": lambda a, c, d: (a, 0.0, c, d, 1.0),
+    "ed": lambda a: None,
+    "ged": lambda a, theta: None,
 }
+SUB_MODEL_PARAM_NAMES = {kind: tuple(inspect.signature(f).parameters)
+                         for kind, f in _SUB_MODELS.items()}
 
 # friendly string names accepted wherever a kind is addressed
 KIND_ALIASES = {"gompertz": "gd", "exponential": "ed"}
 
-COMPETITOR_PARAM_NAMES = {
-    "ed": ("a",),
-    "ged": ("a", "theta"),
-    "gd": ("a", "c"),
-    "iw": ("theta",),
-    "giw": ("theta", "beta"),
-    "egiw": ("alpha", "theta", "beta"),
+# kind -> (parameter names, the effective parameter count K that the
+# information criteria use)
+_COMPETITORS = {
+    "ed": (("a",), 1),
+    "ged": (("a", "theta"), 2),
+    "gd": (("a", "c"), 2),
+    "iw": (("theta",), 2),
+    "giw": (("theta", "beta"), 3),
+    "egiw": (("alpha", "theta", "beta"), 4),
 }
+COMPETITOR_PARAM_NAMES = {kind: names for kind, (names, _) in _COMPETITORS.items()}
+COMPETITOR_K = {kind: k for kind, (_, k) in _COMPETITORS.items()}
 
-# effective parameter counts used by the information criteria
-COMPETITOR_K = {"ed": 1, "ged": 2, "gd": 2, "iw": 2, "giw": 3, "egiw": 4}
+
+def _kind(name: str) -> str:
+    """A kind name in lower case, with KIND_ALIASES resolved."""
+    kind = name.lower()
+    return KIND_ALIASES.get(kind, kind)
+
+
+def _spec(spec, what: str, table: dict):
+    """Resolve spec's kind and check its arity against table's parameter names;
+    store the kind and the parameters as floats."""
+    kind = _kind(spec.kind)
+    names = table.get(kind)
+    if names is None:
+        raise InvalidParametersError(f"unknown {what} kind {kind!r}")
+    if len(spec.params) != len(names):
+        raise InvalidParametersError(
+            f"{kind} takes parameters {names}, got {len(spec.params)} values")
+    object.__setattr__(spec, "kind", kind)
+    object.__setattr__(spec, "params", tuple(float(v) for v in spec.params))
 
 
 @dataclass(frozen=True)
@@ -77,16 +107,7 @@ class SubModelSpec:
     params: tuple
 
     def __post_init__(self):
-        kind = self.kind.lower()
-        kind = KIND_ALIASES.get(kind, kind)
-        object.__setattr__(self, "kind", kind)
-        names = SUB_MODEL_PARAM_NAMES.get(kind)
-        if names is None:
-            raise InvalidParametersError(f"unknown sub-model kind {self.kind!r}")
-        if len(self.params) != len(names):
-            raise InvalidParametersError(
-                f"{kind} takes parameters {names}, got {len(self.params)} values")
-        object.__setattr__(self, "params", tuple(float(v) for v in self.params))
+        _spec(self, "sub-model", SUB_MODEL_PARAM_NAMES)
 
 
 @dataclass(frozen=True)
@@ -97,18 +118,9 @@ class CompetitorSpec:
     params: tuple
 
     def __post_init__(self):
-        kind = KIND_ALIASES.get(self.kind.lower(), self.kind.lower())
-        object.__setattr__(self, "kind", kind)
-        names = COMPETITOR_PARAM_NAMES.get(kind)
-        if names is None:
-            raise InvalidParametersError(f"unknown competitor kind {self.kind!r}")
-        if len(self.params) != len(names):
-            raise InvalidParametersError(
-                f"{kind} takes parameters {names}, got {len(self.params)} values")
-        params = tuple(float(v) for v in self.params)
-        if any(not (math.isfinite(v) and v > 0.0) for v in params):
-            raise InvalidParametersError(f"{kind} parameters must be finite and positive")
-        object.__setattr__(self, "params", params)
+        _spec(self, "competitor", COMPETITOR_PARAM_NAMES)
+        if any(not (math.isfinite(v) and v > 0.0) for v in self.params):
+            raise InvalidParametersError(f"{self.kind} parameters must be finite and positive")
 
     @property
     def k(self) -> int:
@@ -124,33 +136,11 @@ def embed(spec: SubModelSpec) -> EgwgParams:
     The exponential families ("ed", "ged") arise only as the degenerate
     c -> 0 limit and cannot be represented; use the competitor evaluators.
     """
-    kind, q = spec.kind, spec.params
-    if kind == "gwgd":
-        a, b, c, d = q
-        return EgwgParams(a, b, c, d, 1.0)
-    if kind == "gd":
-        a, c = q
-        return EgwgParams(a, 0.0, c, 1.0, 1.0)
-    if kind == "ggd":
-        a, c, theta = q
-        return EgwgParams(a, 0.0, c, 1.0, theta)
-    if kind == "exp_mod_weibull_ext":
-        a, alpha, d, theta = q
-        return EgwgParams(a, 0.0, (1.0 / alpha) ** d, d, theta)
-    if kind == "epd":
-        a, d, c = q
-        return EgwgParams(a, 0.0, c, d, 1.0)
-    if kind == "gepd":
-        a, d, c, theta = q
-        return EgwgParams(a, 0.0, c, d, theta)
-    if kind == "chen":
-        a, d = q
-        return EgwgParams(a, 0.0, 1.0, d, 1.0)
-    if kind == "xie":
-        a, c, d = q
-        return EgwgParams(a, 0.0, c, d, 1.0)
-    raise NotEmbeddableError(
-        f"{kind} is the degenerate c -> 0 limit; evaluate it through competitor_cdf")
+    assignment = _SUB_MODELS[spec.kind](*spec.params)
+    if assignment is None:
+        raise NotEmbeddableError(
+            f"{spec.kind} is the degenerate c -> 0 limit; evaluate it through competitor_cdf")
+    return EgwgParams(*assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +150,13 @@ def embed(spec: SubModelSpec) -> EgwgParams:
 def _gd_core(spec: CompetitorSpec) -> EgwgParams:
     a, c = spec.params
     return EgwgParams(a / c, 0.0, c, 1.0, 1.0)
+
+
+def _log1mexp(z):
+    """log(1 - e^{-z}) by the kernel's rule: log1p(-e^{-z}) above z = ln 2 and
+    log(-expm1(-z)) up to it (Maechler 2012)."""
+    with np.errstate(divide="ignore"):
+        return np.where(z > dist._LN2, np.log1p(-np.exp(-z)), np.log(-np.expm1(-z)))
 
 
 def _frechet(spec: CompetitorSpec) -> tuple:
@@ -177,7 +174,7 @@ def competitor_cdf(spec: CompetitorSpec, x):
         return -np.expm1(-q[0] * xs)
     if kind == "ged":
         a, theta = q
-        return np.exp(theta * np.log(-np.expm1(-a * xs)))
+        return np.exp(theta * _log1mexp(a * xs))
     if kind == "gd":
         return dist.cdf(_gd_core(spec), xs)
     s, beta = _frechet(spec)
@@ -193,8 +190,7 @@ def competitor_log_pdf(spec: CompetitorSpec, x):
             return math.log(q[0]) - q[0] * xs
         if kind == "ged":
             a, theta = q
-            return (math.log(theta * a) - a * xs
-                    + (theta - 1.0) * np.log(-np.expm1(-a * xs)))
+            return math.log(theta * a) - a * xs + (theta - 1.0) * _log1mexp(a * xs)
         if kind == "gd":
             return dist.log_pdf(_gd_core(spec), xs)
         s, beta = _frechet(spec)
@@ -211,85 +207,58 @@ def competitor_loglik(spec: CompetitorSpec, values) -> float:
 # competitor fitting (closed forms and one-dimensional profiles)
 # ---------------------------------------------------------------------------
 
-def _opt_scalar(negl, lo, hi):
-    return float(minimize_scalar_bounded(negl, lo, hi, xatol=1e-12))
-
-
 def fit_competitor(kind: str, values) -> CompetitorSpec:
     """Maximum-likelihood fit of a competitor family to positive data.
 
-    ED has the closed form a = n / sum(x).  The other families reduce to a
-    one-dimensional search after profiling out their rate parameter.  For
-    EGIW, alpha and theta enter the likelihood only through their product;
-    alpha is pinned at 1 and the product reported as theta.
+    ED has the closed form a = n / sum(x).  For each other family,
+    ``profile(v)`` gives -L and the parameters where one parameter is e^v and
+    any other is its closed-form profile MLE; one bounded Brent search over v
+    finds the fit.  For EGIW, alpha and theta enter the likelihood only
+    through their product; alpha is pinned at 1 and the product reported as
+    theta.
     """
-    x = np.asarray(values, dtype=float)
+    x = _lifetimes(values)
     n = x.size
-    kind = KIND_ALIASES.get(kind.lower(), kind.lower())
+    kind = _kind(kind)
+    sx = float(np.sum(x))
     if kind == "ed":
-        return CompetitorSpec("ed", (n / float(np.sum(x)),))
+        return CompetitorSpec("ed", (n / sx,))
+    slx = float(np.sum(np.log(x)))
+    lo, hi = math.log(0.01), math.log(50.0)     # the inverse Weibull shape's interval
 
     if kind == "ged":
-        def negl(la):
+        def profile(la):
             a = math.exp(la)
-            lp1 = np.log(-np.expm1(-a * x))
-            theta = -n / float(np.sum(lp1))
-            return -(n * math.log(theta * a) - a * float(np.sum(x))
-                     + (theta - 1.0) * float(np.sum(lp1)))
-        la = _opt_scalar(negl, math.log(0.001 / x.mean()), math.log(100.0 / x.mean()))
-        a = math.exp(la)
-        theta = -n / float(np.sum(np.log(-np.expm1(-a * x))))
-        return CompetitorSpec("ged", (a, theta))
-
-    if kind == "gd":
-        sx = float(np.sum(x))
-
-        def negl(lc):
+            slp = float(np.sum(_log1mexp(a * x)))
+            theta = -n / slp
+            return -(n * math.log(theta * a) - a * sx + (theta - 1.0) * slp), (a, theta)
+        lo, hi = math.log(0.001 / (sx / n)), math.log(100.0 / (sx / n))
+    elif kind == "gd":
+        def profile(lc):
             c = math.exp(lc)
             s = float(np.sum(np.expm1(c * x)))
             rate = n / s          # profile MLE of the core rate a/c
-            return -(n * math.log(rate * c) + c * sx - rate * s)
-        M = float(x.max())
-        lc = _opt_scalar(negl, math.log(1e-4 / M), math.log(50.0 / M))
-        c = math.exp(lc)
-        rate = n / float(np.sum(np.expm1(c * x)))
-        return CompetitorSpec("gd", (rate * c, c))
-
-    if kind == "iw":
-        lx = np.log(x)
-
-        def negl(lt):
+            return -(n * math.log(rate * c) + c * sx - rate * s), (rate * c, c)
+        lo, hi = math.log(1e-4 / float(x.max())), math.log(50.0 / float(x.max()))
+    elif kind == "iw":
+        def profile(lt):
             t = math.exp(lt)
-            return -(n * math.log(t) - (t + 1.0) * float(np.sum(lx))
-                     - float(np.sum(x ** (-t))))
-        return CompetitorSpec("iw", (math.exp(_opt_scalar(negl, math.log(0.01), math.log(50.0))),))
-
-    if kind in ("giw", "egiw"):
-        lx = np.log(x)
-
-        def negl(lb):
+            return -(n * math.log(t) - (t + 1.0) * slx - float(np.sum(x ** (-t)))), (t,)
+    elif kind in ("giw", "egiw"):
+        def profile(lb):
             beta = math.exp(lb)
-            s = float(np.sum(x ** (-beta)))
-            theta = n / s
-            return -(n * math.log(theta * beta) - (beta + 1.0) * float(np.sum(lx)) - n)
-        lb = _opt_scalar(negl, math.log(0.01), math.log(50.0))
-        beta = math.exp(lb)
-        theta = n / float(np.sum(x ** (-beta)))
-        if kind == "giw":
-            return CompetitorSpec("giw", (theta, beta))
-        return CompetitorSpec("egiw", (1.0, theta, beta))
-
-    raise InvalidParametersError(f"unknown competitor kind {kind!r}")
+            theta = n / float(np.sum(x ** (-beta)))
+            negl = -(n * math.log(theta * beta) - (beta + 1.0) * slx - n)
+            return negl, ((theta, beta) if kind == "giw" else (1.0, theta, beta))
+    else:
+        raise InvalidParametersError(f"unknown competitor kind {kind!r}")
+    v = float(minimize_scalar_bounded(lambda v: profile(v)[0], lo, hi, xatol=1e-12))
+    return CompetitorSpec(kind, profile(v)[1])
 
 
 def competitor_covariance(spec: CompetitorSpec, values) -> np.ndarray:
     """Inverse observed information over the family's own parameters."""
     x = np.asarray(values, dtype=float)
-    kind = spec.kind
-    p0 = np.asarray(spec.params, dtype=float)
-
-    def L(p):
-        return competitor_loglik(CompetitorSpec(kind, tuple(p)), x)
-
-    info = -numerical_hessian(L, p0)
+    info = -numerical_hessian(lambda p: competitor_loglik(CompetitorSpec(spec.kind, tuple(p)), x),
+                              np.asarray(spec.params, dtype=float))
     return np.linalg.inv(info)

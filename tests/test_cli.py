@@ -51,6 +51,18 @@ class TestFitCommand:
         assert code == 1
         assert ":3:" in err
 
+    def test_infinite_value_is_rejected_for_competitors(self, capsys, tmp_path):
+        path = tmp_path / "inf.txt"
+        path.write_text("1.5\ninf\n2.5\n")
+        for model in ("ed", "gd"):
+            code, _, err = run(capsys, "fit", "--data", str(path), "--model", model)
+            assert code == 1
+            assert "all lifetimes must be finite and > 0" in err
+
+    def test_gompertz_alias_prints_the_gd_fit(self, capsys):
+        assert run(capsys, "fit", "--data", "aarset", "--model", "Gompertz") == \
+            run(capsys, "fit", "--data", "aarset", "--model", "gd")
+
     def test_unknown_model(self, capsys):
         code, _, _ = run(capsys, "fit", "--data", "aarset", "--model", "cauchy")
         assert code == 1

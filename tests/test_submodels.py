@@ -5,9 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from egwgd import AARSET, EgwgParams, cdf, pdf
-from egwgd.exceptions import InvalidParametersError, NotEmbeddableError
+from egwgd.exceptions import DomainError, InvalidParametersError, NotEmbeddableError
 from egwgd.submodels import (
     COMPETITOR_K,
+    COMPETITOR_PARAM_NAMES,
+    SUB_MODEL_PARAM_NAMES,
     CompetitorSpec,
     SubModelSpec,
     competitor_cdf,
@@ -25,10 +27,37 @@ GD_FIT_A = 0.0097152776
 GD_FIT_C = 0.0203002902
 
 
+def assert_stationary(spec, x, coords=None, eps=1e-6):
+    """No relative step of eps in any of coords (default: every parameter) raises L by 1e-6."""
+    ll = competitor_loglik(spec, x)
+    for i in range(len(spec.params)) if coords is None else coords:
+        for step in (1.0 - eps, 1.0 + eps):
+            p = list(spec.params)
+            p[i] *= step
+            assert competitor_loglik(CompetitorSpec(spec.kind, tuple(p)), x) <= ll + 1e-6
+
+
 class TestEmbed:
     def test_gd_literal_mapping(self):
         p = embed(SubModelSpec("gd", (0.011, 0.018)))
         assert p == EgwgParams(0.011, 0.0, 0.018, 1.0, 1.0)
+
+    def test_ggd_literal_mapping(self):
+        assert embed(SubModelSpec("ggd", (0.4, 1.2, 0.7))) == EgwgParams(0.4, 0.0, 1.2, 1.0, 0.7)
+
+    def test_gepd_literal_mapping(self):
+        p = embed(SubModelSpec("gepd", (0.7, 1.2, 0.9, 1.8)))
+        assert p == EgwgParams(0.7, 0.0, 0.9, 1.2, 1.8)
+
+    def test_parameter_names_in_order(self):
+        assert list(SUB_MODEL_PARAM_NAMES.items()) == [
+            ("gwgd", ("a", "b", "c", "d")), ("gd", ("a", "c")), ("ggd", ("a", "c", "theta")),
+            ("exp_mod_weibull_ext", ("a", "alpha", "d", "theta")), ("epd", ("a", "d", "c")),
+            ("gepd", ("a", "d", "c", "theta")), ("chen", ("a", "d")), ("xie", ("a", "c", "d")),
+            ("ed", ("a",)), ("ged", ("a", "theta"))]
+        assert list(COMPETITOR_PARAM_NAMES.items()) == [
+            ("ed", ("a",)), ("ged", ("a", "theta")), ("gd", ("a", "c")), ("iw", ("theta",)),
+            ("giw", ("theta", "beta")), ("egiw", ("alpha", "theta", "beta"))]
 
     def test_ggd_with_unit_theta_collapses_to_gd(self):
         assert embed(SubModelSpec("ggd", (0.4, 1.2, 1.0))) == embed(SubModelSpec("gd", (0.4, 1.2)))
@@ -140,13 +169,33 @@ class TestCompetitorFits:
         printed_point = -competitor_loglik(CompetitorSpec("ged", (0.021, 0.902)), AARSET)
         assert ours <= printed_point + 1e-9
 
-    def test_fit_is_stationary_ged(self):
-        spec = fit_competitor("ged", AARSET)
-        a, theta = spec.params
-        eps = 1e-6
-        for bump in ((1 + eps, 1.0), (1.0, 1 + eps)):
-            other = CompetitorSpec("ged", (a * bump[0], theta * bump[1]))
-            assert competitor_loglik(other, AARSET) <= competitor_loglik(spec, AARSET) + 1e-6
+    @pytest.mark.parametrize("kind", ["ged", "gd", "iw", "giw"])
+    def test_fit_is_stationary(self, kind):
+        assert_stationary(fit_competitor(kind, AARSET), AARSET)
+
+    def test_ged_fit_on_low_spread_data_is_stationary(self):
+        # a x reaches 100 at the top of the search interval, where
+        # log(-expm1(-a x)) rounds to 0; log1p(-exp(-a x)) does not
+        x = np.random.default_rng(9).uniform(9.0, 10.0, 50)
+        assert_stationary(fit_competitor("ged", x), x)
+
+    def test_ged_fit_on_a_constant_sample_ends_at_the_search_bound(self):
+        # with no spread the likelihood rises without bound in a: a ends at
+        # the top of the interval, 100 / mean, and theta is its profile MLE
+        x = np.full(20, 9.5)
+        spec = fit_competitor("ged", x)
+        assert_allclose(spec.params[0] * 9.5, 100.0, rtol=1e-6)
+        assert_stationary(spec, x, coords=(1,))
+
+    @pytest.mark.parametrize("kind", ["ed", "ged", "gd", "iw", "giw", "egiw"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_values_that_are_not_lifetimes_are_rejected(self, kind, bad):
+        with pytest.raises(DomainError, match="all lifetimes must be finite and > 0"):
+            fit_competitor(kind, np.append(AARSET, bad))
+
+    def test_empty_data_are_rejected(self):
+        with pytest.raises(DomainError, match="at least one value"):
+            fit_competitor("ed", [])
 
     def test_egiw_profiles_the_product(self):
         spec = fit_competitor("egiw", AARSET)
