@@ -13,12 +13,8 @@ the modules it uses.
 """
 
 import importlib
-import logging
 
 __version__ = "0.1.0"
-
-# library logging: silent unless the application configures a handler
-logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 # defining module of each public name, in the order of __all__
 _SOURCES = {

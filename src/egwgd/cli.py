@@ -5,7 +5,8 @@ outputs (JSON / CSV / sample lines) serialize numbers at full precision;
 exit codes are 0 on success, 1 on usage or input errors, and 2 when a fit
 returned a best-effort, non-converged result.  Each command imports the
 modules it runs inside its handler, so ``eval`` and ``sample`` load neither
-the fitting nor the quadrature modules.  No command loads scipy.
+the fitting nor the quadrature modules, ``fit`` loads no ``gof``, and a
+competitor fit loads no ``estimation``.  No command loads scipy.
 
 Where OPENBLAS_NUM_THREADS is unset, this module sets it to 1 before it
 imports numpy: no command makes a BLAS call larger than a 14 x 14 Cholesky,
@@ -39,8 +40,10 @@ EXIT_NOT_CONVERGED = 2
 MODEL_NAMES = ("egwgd", "ed", "ged", "gd", "iw", "giw", "egiw")
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
+def _lines(values: list, width: int = 1) -> str:
+    """Python floats as lines of ``width`` comma-separated %.17g fields, in one % pass."""
+    line = ",".join(["%.17g"] * width) + "\n"
+    return (line * (len(values) // width)) % tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -57,17 +60,16 @@ class CurveGrid:
         xs = [r[0] for r in self.rows]
         if len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
             raise DomainError("curve grid needs >= 2 strictly increasing points")
+        if len({len(r) for r in self.rows}) != 1:
+            raise DomainError("curve grid rows differ in length")
         for r in self.rows:
             if abs(r[2] + r[3] - 1.0) > 1e-12:
                 raise DomainError("cdf + survival != 1 on a grid row")
 
     def to_csv(self) -> str:
-        with_mrl = len(self.rows[0]) == 6
-        header = "x,pdf,cdf,survival,hazard" + (",mrl" if with_mrl else "")
-        lines = [header]
-        for r in self.rows:
-            lines.append(",".join(_fmt(v) for v in r))
-        return "\n".join(lines) + "\n"
+        width = len(self.rows[0])
+        header = "x,pdf,cdf,survival,hazard" + (",mrl" if width == 6 else "")
+        return header + "\n" + _lines([v for r in self.rows for v in r], width)
 
 
 def build_curve_grid(p: EgwgParams, lo: float, hi: float, count: int,
@@ -81,17 +83,12 @@ def build_curve_grid(p: EgwgParams, lo: float, hi: float, count: int,
         xs = np.geomspace(lo, hi, count)
     else:
         raise DomainError(f"spacing must be 'linear' or 'log', got {spacing!r}")
-    pdfv = np.atleast_1d(dist.pdf(p, xs))
-    cdfv = np.atleast_1d(dist.cdf(p, xs))
-    surv = np.atleast_1d(dist.survival(p, xs))
-    haz = np.atleast_1d(dist.hazard(p, xs))
-    columns = [xs, pdfv, cdfv, surv, haz]
+    columns = [xs, *(f(p, xs) for f in (dist.pdf, dist.cdf, dist.survival, dist.hazard))]
     if with_mrl:
         from . import reliability
 
         columns.append(reliability.mean_residual_life(p, xs))
-    rows = [tuple(float(v) for v in row) for row in zip(*columns)]
-    return CurveGrid(rows=tuple(rows))
+    return CurveGrid(rows=tuple(map(tuple, np.column_stack(columns).tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -128,38 +125,18 @@ def _float_list(text: str) -> list:
 # ---------------------------------------------------------------------------
 
 def _fit_model(name: str, values: np.ndarray, restarts: int, level: float):
-    """Fit one named model; returns (FittedModel, json_dict, converged)."""
-    from . import estimation, submodels
-    from .gof import FittedModel
+    """Fit one named model; returns (canonical name, FitResult or CompetitorSpec)."""
+    from . import submodels
 
     name = submodels._kind(name)
     if name == "egwgd":
+        from . import estimation
+
         cfg = estimation.FitConfig(n_restarts=restarts, ci_level=level)
-        res = estimation.fit(estimation.Dataset(values), cfg)
-        fm = FittedModel(name="egwgd", params=res.params.to_dict(), k=5,
-                         cdf=lambda x, p=res.params: dist.cdf(p, x),
-                         neg_loglik=-res.loglik)
-        payload = {"model": "egwgd"}
-        payload.update(res.to_json_dict())
-        return fm, payload, res.converged
+        return name, estimation.fit(estimation.Dataset(values), cfg)
     if name not in MODEL_NAMES:
         raise DomainError(f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}")
-    spec = submodels.fit_competitor(name, values)
-    ll = submodels.competitor_loglik(spec, values)
-    fm = FittedModel(name=name, params=spec.as_dict(), k=spec.k,
-                     cdf=lambda x, s=spec: submodels.competitor_cdf(s, x),
-                     neg_loglik=-ll)
-    payload = {"model": name, "params": spec.as_dict(), "loglik": ll,
-               "k": spec.k, "converged": True}
-    try:
-        cov = submodels.competitor_covariance(spec, values)
-        payload["covariance"] = {
-            "order": list(submodels.COMPETITOR_PARAM_NAMES[name]),
-            "values": [float(v) for v in cov.ravel()],
-        }
-    except (EgwgError, np.linalg.LinAlgError):
-        pass   # curvature is best-effort for competitor models
-    return fm, payload, True
+    return name, submodels.fit_competitor(name, values)
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +144,28 @@ def _fit_model(name: str, values: np.ndarray, restarts: int, level: float):
 # ---------------------------------------------------------------------------
 
 def _cmd_fit(args) -> int:
+    from . import submodels
+
     values = load_values(args.data)
-    fm, payload, converged = _fit_model(args.model, values, args.restarts, args.level)
+    name, res = _fit_model(args.model, values, args.restarts, args.level)
+    if name == "egwgd":
+        payload = {"model": name, **res.to_json_dict()}
+    else:
+        payload = {"model": name, "params": res.as_dict(),
+                   "loglik": submodels.competitor_loglik(res, values), "k": res.k,
+                   "converged": True}
+        try:
+            cov = submodels.competitor_covariance(res, values)
+            payload["covariance"] = {"order": list(submodels.COMPETITOR_PARAM_NAMES[name]),
+                                     "values": [float(v) for v in cov.ravel()]}
+        except (EgwgError, np.linalg.LinAlgError):
+            pass   # curvature is best-effort for competitor models
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return EXIT_OK if converged else EXIT_NOT_CONVERGED
+    return EXIT_OK if payload["converged"] else EXIT_NOT_CONVERGED
 
 
 def _cmd_compare(args) -> int:
-    from . import gof
+    from . import gof, submodels
 
     values = load_values(args.data)
     names = [t for t in args.models.replace(",", " ").split() if t]
@@ -182,8 +173,14 @@ def _cmd_compare(args) -> int:
         raise DomainError("empty model list")
     fitted = []
     for name in names:
-        fm, _, _ = _fit_model(name, values, args.restarts, args.level)
-        fitted.append(fm)
+        name, res = _fit_model(name, values, args.restarts, args.level)
+        if name == "egwgd":
+            fitted.append(gof.FittedModel(name, res.params.to_dict(), 5,
+                                          lambda x, p=res.params: dist.cdf(p, x), -res.loglik))
+        else:
+            fitted.append(gof.FittedModel(name, res.as_dict(), res.k,
+                                          lambda x, s=res: submodels.competitor_cdf(s, x),
+                                          -submodels.competitor_loglik(res, values)))
     reports, _ = gof.compare(values, fitted)
     _emit(gof.reports_to_csv(reports), args.out)
     return EXIT_OK
@@ -200,7 +197,7 @@ def _cmd_curves(args) -> int:
 def _cmd_sample(args) -> int:
     p = _params_from(args)
     draws = dist.sample(p, args.n, args.seed)
-    _emit("".join(_fmt(v) + "\n" for v in draws), args.out)
+    _emit(_lines(draws.tolist()), args.out)
     return EXIT_OK
 
 

@@ -78,6 +78,9 @@ __all__ = [
 PARAM_ORDER = ("a", "b", "c", "d", "theta")
 
 _log = logging.getLogger(__name__)
+# library logging, silent unless the application configures a handler; set
+# here, in the one module that logs, so the package root loads no logging
+logging.getLogger(__package__).addHandler(logging.NullHandler())
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ The matrix is fixed: ``fit`` with every model (and the Gompertz alias)
 and one ``compare`` of all models, on Aarset and on the 2000-point
 midpoint-quantile sample of the law (0.001, 0.5, 0.3, 0.8, 0.5); then ``sample``, ``curves --mrl``,
 ``reliability`` (with a repair law) and ``eval`` on a bathtub, an
-increasing and a decreasing hazard.  These laws restate the benchmark's
+increasing and a decreasing hazard; and three commands that fail (an
+unknown model to ``fit`` and to ``compare``, and ``sample --n 0``), so their
+exit statuses are compared too.  These laws restate the benchmark's
 own, and every input is made here with numpy alone, so neither tree's
 package shapes what the other is given.
 
@@ -82,6 +84,12 @@ def commands(midpoint_file: str) -> list:
             (f"eval {name}", ["eval", *_flags(p),
                               "--x", _points(p, [0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999])]),
         ]
+    cmds += [
+        ("fit aarset cauchy (error)", ["fit", "--data", "aarset", "--model", "cauchy"]),
+        ("compare aarset ed,cauchy (error)",
+         ["compare", "--data", "aarset", "--models", "ed,cauchy"]),
+        ("sample --n 0 (error)", ["sample", *_flags(LAWS["bathtub"]), "--n", "0", "--seed", "7"]),
+    ]
     return cmds
 
 

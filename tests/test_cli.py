@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from egwgd import EgwgParams, cdf, hazard, mttf, pdf, reliability, sample
-from egwgd.cli import main
-from egwgd.exceptions import StencilError
+from egwgd import EgwgParams, cdf, hazard, mttf, pdf, reliability, sample, survival
+from egwgd.cli import CurveGrid, main
+from egwgd.exceptions import DomainError, StencilError
 from conftest import PRINTED_MLE
 
 PRINTED_FLAGS = ["--a", "0.000085", "--b", "0.128", "--c", "0.401",
@@ -122,6 +122,21 @@ class TestCompareCommand:
         fit_payload = json.loads(out2)
         assert_allclose(float(rows[0]["neg_loglik"]), -fit_payload["loglik"], rtol=1e-12)
 
+    def test_computes_no_competitor_covariance(self, capsys, monkeypatch):
+        # only fit prints a competitor's covariance
+        from egwgd import submodels
+
+        def spy(spec, values):
+            raise AssertionError("compare computed a competitor covariance")
+
+        monkeypatch.setattr(submodels, "competitor_covariance", spy)
+        code, _, _ = run(capsys, "compare", "--data", "aarset", "--models", "ed,gd")
+        assert code == 0
+        monkeypatch.undo()
+        code, out, _ = run(capsys, "fit", "--data", "aarset", "--model", "gd")
+        assert code == 0
+        assert json.loads(out)["covariance"]["order"] == ["a", "c"]
+
 
 class TestCurvesCommand:
     def test_two_rows_boundary(self, capsys):
@@ -172,6 +187,22 @@ class TestCurvesCommand:
         assert "mrl" in rows[0]
         assert float(rows[0]["mrl"]) > 0.0
 
+    def test_mrl_csv_bytes(self, capsys):
+        code, out, _ = run(capsys, "curves", *GOMPERTZ_FLAGS,
+                           "--lo", "0.5", "--hi", "1.5", "--count", "3", "--mrl")
+        assert code == 0
+        p, xs = EgwgParams(1, 0, 1, 1, 1), np.linspace(0.5, 1.5, 3)
+        columns = [xs, pdf(p, xs), cdf(p, xs), survival(p, xs), hazard(p, xs),
+                   reliability.mean_residual_life(p, xs)]
+        assert out == "x,pdf,cdf,survival,hazard,mrl\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*columns))
+
+    def test_ragged_grid_rows_are_rejected(self):
+        # to_csv formats the rows as one flat list, so every row needs the same width
+        row = (0.5, 0.1, 0.4, 0.6, 0.2)
+        with pytest.raises(DomainError):
+            CurveGrid(rows=(row, (1.0, *row[1:], 3.0)))
+
     def test_invalid_params(self, capsys):
         code, _, _ = run(capsys, "curves", "--a", "-1", "--b", "0", "--c", "1",
                          "--d", "1", "--theta", "1",
@@ -192,6 +223,17 @@ class TestSampleCommand:
         got = np.array([float(t) for t in out.split()])
         expected = sample(EgwgParams(1, 0, 1, 1, 1), 6, 9)
         assert_allclose(got, expected, rtol=0, atol=0)   # 17 digits round-trip
+
+    def test_stdout_bytes(self, capsys, tmp_path):
+        # about 1% of the printed law's draws lie below 1e-4, in exponent notation
+        path = tmp_path / "draws.txt"
+        code, out, _ = run(capsys, "sample", *PRINTED_FLAGS, "--n", "1000", "--seed", "3",
+                           "--out", str(path))
+        assert code == 0
+        draws = sample(EgwgParams(0.000085, 0.128, 0.401, 0.69901, 0.246), 1000, 3)
+        assert out == "".join(f"{v:.17g}\n" for v in draws)
+        assert "e-" in out
+        assert path.read_text(encoding="utf-8") == out
 
     def test_zero_n_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "sample", *GOMPERTZ_FLAGS, "--n", "0", "--seed", "1")

@@ -1,5 +1,6 @@
-"""The import contract: ``import egwgd`` loads neither numpy nor scipy, and
-no CLI command loads scipy.
+"""The import contract: ``import egwgd`` loads neither numpy nor scipy nor
+logging, no CLI command loads scipy, and each command loads only the package
+modules whose results it prints.
 
 The fit commands also start no worker: their speed comes from evaluating the
 restarts' points as the rows of one array pass, not from threads or processes.
@@ -39,8 +40,9 @@ COMMANDS = {
 
 # runs argv (JSON) through cli.main and prints the exit code, the scipy
 # modules then loaded, the worker-pool modules (multiprocessing,
-# concurrent) then loaded, the number of Python threads started and the
-# numpy modules then loaded; an empty argv only imports the package
+# concurrent) then loaded, the number of Python threads started, and the
+# numpy, logging and egwgd modules then loaded; an empty argv only imports
+# the package
 _CHILD = """
 import contextlib, io, json, sys, threading
 started = []
@@ -56,7 +58,7 @@ else:
     code = 0
 loaded = lambda *tops: sorted(m for m in sys.modules if m.split(".")[0] in tops)
 print(json.dumps([code, loaded("scipy"), loaded("multiprocessing", "concurrent"), len(started),
-                  loaded("numpy")]))
+                  loaded("numpy"), loaded("logging"), loaded("egwgd")]))
 """
 
 
@@ -66,6 +68,8 @@ class Child(NamedTuple):
     pools: set
     threads: int
     numpy: set
+    logging: set
+    egwgd: set
     stderr: str
 
 
@@ -75,20 +79,27 @@ def run_child(argv) -> Child:
     proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argv)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, modules, pools, threads, numpy = json.loads(proc.stdout.splitlines()[-1])
-    return Child(code, set(modules), set(pools), threads, set(numpy), proc.stderr)
+    code, scipy, pools, threads, numpy, logging, own = json.loads(proc.stdout.splitlines()[-1])
+    return Child(code, set(scipy), set(pools), threads, set(numpy), set(logging), set(own),
+                 proc.stderr)
 
 
-def scipy_modules_after(argv):
+def successful_child(argv) -> Child:
     child = run_child(argv)
     assert child.code == 0
-    return child.scipy
+    return child
 
 
 @pytest.fixture(scope="module")
-def loaded():
-    """Scipy modules loaded by each command, each in its own interpreter."""
-    return {name: scipy_modules_after(argv) for name, argv in COMMANDS.items()}
+def children():
+    """What each command loaded, each in its own interpreter."""
+    return {name: successful_child(argv) for name, argv in COMMANDS.items()}
+
+
+@pytest.fixture(scope="module")
+def loaded(children):
+    """Scipy modules loaded by each command."""
+    return {name: child.scipy for name, child in children.items()}
 
 
 def test_import_egwgd_loads_no_scipy():
@@ -97,9 +108,33 @@ def test_import_egwgd_loads_no_scipy():
     assert child.scipy == set() and child.numpy == set()
 
 
-@pytest.mark.parametrize("name", ["eval", "sample", "curves", "curves_mrl", "reliability"])
+def test_import_egwgd_loads_no_logging():
+    # the package logger's NullHandler is set in estimation, the one module that logs
+    assert run_child([]).logging == set()
+
+
+POINTWISE = ["eval", "sample", "curves", "curves_mrl", "reliability"]
+
+
+@pytest.mark.parametrize("name", POINTWISE)
 def test_pointwise_commands_load_no_scipy(loaded, name):
     assert loaded[name] == set()
+
+
+@pytest.mark.parametrize("name", POINTWISE)
+def test_pointwise_commands_load_no_logging(children, name):
+    assert children[name].logging == set()
+
+
+def test_egwgd_fit_loads_no_gof(children):
+    # only compare builds the goodness-of-fit inputs
+    assert "egwgd.estimation" in children["fit_egwgd"].egwgd
+    assert "egwgd.gof" not in children["fit_egwgd"].egwgd
+
+
+def test_competitor_fit_loads_no_estimation(children):
+    assert "egwgd.submodels" in children["fit"].egwgd
+    assert not {"egwgd.estimation", "egwgd.gof"} & children["fit"].egwgd
 
 
 def test_eval_past_the_survival_edge_names_it_without_scipy():
