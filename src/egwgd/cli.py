@@ -153,7 +153,7 @@ def _cmd_fit(args) -> int:
     else:
         payload = {"model": name, "params": res.as_dict(),
                    "loglik": submodels.competitor_loglik(res, values), "k": res.k,
-                   "converged": True}
+                   "converged": res.converged}
         try:
             cov = submodels.competitor_covariance(res, values)
             payload["covariance"] = {"order": list(submodels.COMPETITOR_PARAM_NAMES[name]),

@@ -3,8 +3,9 @@
 The family has CDF ``F(x) = [1 - exp(-a x^b (e^{c x^d} - 1))]^theta`` on
 x >= 0.  Everything here is computed from one log-space kernel pass, which
 gives the inner exponent ``z(x) = a x^b (e^{c x^d} - 1)`` (carried as log z
-so it never underflows) and a stable ``log(1 - e^{-z})``.  All evaluators
-accept scalars or arrays of points and are pure functions of their inputs.
+so it never underflows) and a stable ``log(1 - e^{-z})``, whose one rule,
+``_log1mexp``, also gives log R.  All evaluators accept scalars or arrays of
+points and are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -176,6 +177,27 @@ def _log(v):
     return math.log(v)
 
 
+def _log1mexp(z: np.ndarray, ws=None) -> np.ndarray:
+    """log(1 - e^{-z}) for z >= 0, elementwise, in ws's array "lnP" (or a fresh one).
+
+    log1p(-e^{-z}) above z = ln 2 and log(-expm1(-z)) up to it keep full
+    relative precision at every z (Maechler, "Accurately computing
+    log(1 - exp(-|a|))", 2012); z = 0 gives -inf, z = inf a zero.  ws also
+    lends the masks "mask" and "mask2".  It opens no np.errstate, which would
+    cost each kernel pass about 3 us: a caller where z can be 0 ignores
+    "divide" itself.
+    """
+    out = np.negative(z, out=_scratch(ws, "lnP", z))
+    big = np.greater(z, _LN2, out=_scratch(ws, "mask", z, bool))
+    small = np.less_equal(z, _LN2, out=_scratch(ws, "mask2", z, bool))
+    np.exp(out, out=out, where=big)
+    np.expm1(out, out=out, where=small)
+    np.negative(out, out=out)
+    np.log1p(out, out=out, where=big)
+    np.log(out, out=out, where=small)
+    return out
+
+
 def _log_expm1(y: np.ndarray, logy: np.ndarray) -> np.ndarray:
     """log(e^y - 1) for y > 0, elementwise, without over- or underflow, given log y."""
     out = y.copy()   # y > 33: the correction log(1 - e^{-y}) < 5e-15
@@ -218,18 +240,11 @@ def _inner(a: float, b: float, c: float, d: float, x: np.ndarray, ws=None) -> _K
             under = None
         np.add(_log(a), logz, out=logz)
         z = np.exp(logz, out=_scratch(ws, "z", x))
-        # log(1 - e^{-z}) is log1p(-e^{-z}) above z = ln 2 and log(-expm1(-z))
-        # up to it; below z = 1.1e-16 it equals log z to 1 ulp
-        lnP = np.negative(z, out=_scratch(ws, "lnP", x))
-        big = np.greater(z, _LN2, out=_scratch(ws, "mask", x, bool))
-        small = np.less_equal(z, _LN2, out=_scratch(ws, "mask2", x, bool))
-        np.exp(lnP, out=lnP, where=big)
-        np.expm1(lnP, out=lnP, where=small)
-        np.negative(lnP, out=lnP)
-        np.log1p(lnP, out=lnP, where=big)
-        np.log(lnP, out=lnP, where=small)
-        if np.less(logz, -36.7, out=big).any():
-            np.copyto(lnP, logz, where=big)
+        lnP = _log1mexp(z, ws)
+        # below z = 1.1e-16, log(1 - e^{-z}) is log z, which stays finite where z underflows
+        tiny = np.less(logz, -36.7, out=_scratch(ws, "mask", x, bool))
+        if tiny.any():
+            np.copyto(lnP, logz, where=tiny)
     return _Kernel(lnx, s, ncs, em, logz, z, lnP, under)
 
 
@@ -275,10 +290,10 @@ def cdf(p: EgwgParams, x):
 
 
 def log_survival(p: EgwgParams, x):
-    """log R(x), evaluated as its own expression (not via 1 - cdf)."""
+    """log R(x) = log(1 - e^{log F(x)}), precise in both tails (not via 1 - cdf)."""
     lf, scalar = _log_F(p, x)
     with np.errstate(divide="ignore"):
-        return _ret(np.log(-np.expm1(lf)), scalar)
+        return _ret(_log1mexp(-lf), scalar)
 
 
 def survival(p: EgwgParams, x):
@@ -391,7 +406,7 @@ def hazard(p: EgwgParams, x):
         raise TailOverflowError(
             "survival underflowed to 0; largest representable point is about "
             f"x = {_largest_representable_x(p):.6g}")
-    return _ret(np.exp(lp - np.log(-np.expm1(lf))), scalar)
+    return _ret(np.exp(lp - _log1mexp(-lf)), scalar)
 
 
 def reversed_hazard(p: EgwgParams, x):
@@ -409,15 +424,12 @@ def reversed_hazard(p: EgwgParams, x):
 def _log_target(p: EgwgParams, q: np.ndarray) -> np.ndarray:
     """log of t(q) = -ln(1 - q^{1/theta}) / a with u = q^{1/theta}, for q > 0.
 
-    Three branches keep full relative precision: u negligible (t = u),
-    u below 1/2 (log1p on -u), and u near 1 (1 - u formed by expm1 so it
-    survives u rounding to 1.0).
+    log(1 - u) = _log1mexp(-log u) keeps full relative precision, also for
+    u near 1 where u itself rounds to 1.0; where u is negligible, t = u.
     """
     lnu = np.log(q) / p.theta
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        small = np.log(-np.log1p(-np.exp(lnu)))
-        near1 = np.log(-np.log(-np.expm1(lnu)))
-    return np.where(lnu < -36.0, lnu, np.where(lnu < -_LN2, small, near1)) - math.log(p.a)
+    with np.errstate(divide="ignore"):
+        return np.where(lnu < -36.0, lnu, np.log(-_log1mexp(-lnu))) - math.log(p.a)
 
 
 _LOG_X_GUARD = 996 * _LN2   # roots lie in 2^-996 ... 2^996, find_root_increasing's bracket range

@@ -154,17 +154,11 @@ def compare(values, models: Sequence[FittedModel]) -> tuple[list, dict]:
     return reports, rankings
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def reports_to_csv(reports: Sequence[GofReport]) -> str:
     """Serialise comparison reports, one row per model, in input order."""
     lines = [CSV_HEADER]
     for r in reports:
         mle = json.dumps(r.mle, sort_keys=True).replace('"', '""')
-        lines.append(",".join([
-            r.model, f'"{mle}"', _fmt(r.ks), _fmt(r.neg_loglik),
-            _fmt(r.aic), _fmt(r.caic), _fmt(r.bic), _fmt(r.p_value),
-        ]))
+        lines.append('%s,"%s",%.17g,%.17g,%.17g,%.17g,%.17g,%.17g' % (
+            r.model, mle, r.ks, r.neg_loglik, r.aic, r.caic, r.bic, r.p_value))
     return "\n".join(lines) + "\n"

@@ -172,5 +172,5 @@ def order_stat_pdf(p: EgwgParams, i: int, n: int, x):
         total = total + (i - 1) * lf
     if n > i:
         with np.errstate(divide="ignore"):
-            total = total + (n - i) * np.log(-np.expm1(lf))
+            total = total + (n - i) * dist._log1mexp(-lf)
     return dist._ret(np.exp(total), scalar)

@@ -7,7 +7,8 @@ competitor families (ED, GED, GD, IW, GIW, EGIW) are the models the
 benchmark comparison fits side by side: ``_COMPETITORS`` holds each one's
 parameter names and the effective parameter count its information
 criteria use, and ``fit_competitor`` its closed-form or one-dimensional
-profile MLE.
+profile MLE, with a flag that says whether the search ended inside its
+interval.
 
 Note on the Gompertz competitor: its (a, c) are in the hazard-rate
 convention h(x) = a e^{c x}, so it evaluates through the core family at
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,10 +113,14 @@ class SubModelSpec:
 
 @dataclass(frozen=True)
 class CompetitorSpec:
-    """A fitted-or-fixed competitor model for the benchmark comparison."""
+    """A fitted-or-fixed competitor model for the benchmark comparison.
+
+    ``fit_competitor`` sets ``converged``, an output that equality ignores.
+    """
 
     kind: str
     params: tuple
+    converged: bool = field(default=True, init=False, compare=False)
 
     def __post_init__(self):
         _spec(self, "competitor", COMPETITOR_PARAM_NAMES)
@@ -152,13 +157,6 @@ def _gd_core(spec: CompetitorSpec) -> EgwgParams:
     return EgwgParams(a / c, 0.0, c, 1.0, 1.0)
 
 
-def _log1mexp(z):
-    """log(1 - e^{-z}) by the kernel's rule: log1p(-e^{-z}) above z = ln 2 and
-    log(-expm1(-z)) up to it (Maechler 2012)."""
-    with np.errstate(divide="ignore"):
-        return np.where(z > dist._LN2, np.log1p(-np.exp(-z)), np.log(-np.expm1(-z)))
-
-
 def _frechet(spec: CompetitorSpec) -> tuple:
     """(s, beta) of an inverse Weibull kind, whose CDF is exp(-s x^-beta):
     s = 1 for IW, theta for GIW and alpha theta for EGIW."""
@@ -174,7 +172,8 @@ def competitor_cdf(spec: CompetitorSpec, x):
         return -np.expm1(-q[0] * xs)
     if kind == "ged":
         a, theta = q
-        return np.exp(theta * _log1mexp(a * xs))
+        with np.errstate(divide="ignore"):
+            return np.exp(theta * dist._log1mexp(a * xs))
     if kind == "gd":
         return dist.cdf(_gd_core(spec), xs)
     s, beta = _frechet(spec)
@@ -190,7 +189,7 @@ def competitor_log_pdf(spec: CompetitorSpec, x):
             return math.log(q[0]) - q[0] * xs
         if kind == "ged":
             a, theta = q
-            return math.log(theta * a) - a * xs + (theta - 1.0) * _log1mexp(a * xs)
+            return math.log(theta * a) - a * xs + (theta - 1.0) * dist._log1mexp(a * xs)
         if kind == "gd":
             return dist.log_pdf(_gd_core(spec), xs)
         s, beta = _frechet(spec)
@@ -213,9 +212,11 @@ def fit_competitor(kind: str, values) -> CompetitorSpec:
     ED has the closed form a = n / sum(x).  For each other family,
     ``profile(v)`` gives -L and the parameters where one parameter is e^v and
     any other is its closed-form profile MLE; one bounded Brent search over v
-    finds the fit.  For EGIW, alpha and theta enter the likelihood only
-    through their product; alpha is pinned at 1 and the product reported as
-    theta.
+    finds the fit.  Where the search ends at an end of its interval, the
+    likelihood still rises toward it (a sample with no spread, say), and
+    the fit is marked not converged.  For EGIW, alpha and theta enter the
+    likelihood only through their product; alpha is pinned at 1 and the
+    product reported as theta.
     """
     x = _lifetimes(values)
     n = x.size
@@ -229,7 +230,7 @@ def fit_competitor(kind: str, values) -> CompetitorSpec:
     if kind == "ged":
         def profile(la):
             a = math.exp(la)
-            slp = float(np.sum(_log1mexp(a * x)))
+            slp = float(np.sum(dist._log1mexp(a * x)))
             theta = -n / slp
             return -(n * math.log(theta * a) - a * sx + (theta - 1.0) * slp), (a, theta)
         lo, hi = math.log(0.001 / (sx / n)), math.log(100.0 / (sx / n))
@@ -252,8 +253,14 @@ def fit_competitor(kind: str, values) -> CompetitorSpec:
             return negl, ((theta, beta) if kind == "giw" else (1.0, theta, beta))
     else:
         raise InvalidParametersError(f"unknown competitor kind {kind!r}")
-    v = float(minimize_scalar_bounded(lambda v: profile(v)[0], lo, hi, xatol=1e-12))
-    return CompetitorSpec(kind, profile(v)[1])
+    xatol = 1e-12
+    v = float(minimize_scalar_bounded(lambda v: profile(v)[0], lo, hi, xatol=xatol))
+    spec = CompetitorSpec(kind, profile(v)[1])
+    # Brent stops with its bracket within 2 (sqrt(eps) |v| + xatol / 3) of v, so
+    # a search that kept an end of [lo, hi] as its bracket's end stops that near it
+    edge = 3.0 * (math.sqrt(2.2e-16) * abs(v) + xatol)
+    object.__setattr__(spec, "converged", min(v - lo, hi - v) > edge)
+    return spec
 
 
 def competitor_covariance(spec: CompetitorSpec, values) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 The matrix is fixed: ``fit`` with every model (and the Gompertz alias)
 and one ``compare`` of all models, on Aarset and on the 2000-point
-midpoint-quantile sample of the law (0.001, 0.5, 0.3, 0.8, 0.5); then ``sample``, ``curves --mrl``,
+midpoint-quantile sample of the law (0.001, 0.5, 0.3, 0.8, 0.5); ``fit``
+with GED, GD, GIW and EGIW on a sample of ten 3s, where each search ends at
+its interval's edge; then ``sample``, ``curves --mrl``,
 ``reliability`` (with a repair law) and ``eval`` on a bathtub, an
-increasing and a decreasing hazard; and three commands that fail (an
+increasing and a decreasing hazard, and ``eval`` at each law's
+1e-6, 1e-4 and 1e-2 quantiles, its left tail; and three commands that fail (an
 unknown model to ``fit`` and to ``compare``, and ``sample --n 0``), so their
 exit statuses are compared too.  These laws restate the benchmark's
 own, and every input is made here with numpy alone, so neither tree's
@@ -35,6 +38,8 @@ HERE_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__
 MODELS = ("egwgd", "ed", "ged", "gd", "iw", "giw", "egiw")
 MIDPOINT_LAW = (0.001, 0.5, 0.3, 0.8, 0.5)
 MIDPOINT_N = 2000
+CONSTANT_N = 10       # the constant sample's size; each value is 3
+EDGE_MODELS = ("ged", "gd", "giw", "egiw")   # their searches end at an edge on it
 LAWS = {
     "bathtub": (0.000085, 0.128, 0.401, 0.69901, 0.246),
     "increasing": (0.5, 0.2, 0.3, 0.5, 1.5),
@@ -66,13 +71,16 @@ def _flags(p, prefix="--") -> list:
     return [f"{prefix}{k}={v!r}" for k, v in zip(("a", "b", "c", "d", "theta"), p)]
 
 
-def commands(midpoint_file: str) -> list:
+def commands(midpoint_file: str, constant_file: str) -> list:
     """(label, argv) of every command in the matrix."""
     cmds = []
     for data, label in (("aarset", "aarset"), (midpoint_file, f"midpoint-{MIDPOINT_N}")):
         for model in (*MODELS, "Gompertz"):
             cmds.append((f"fit {label} {model}", ["fit", "--data", data, "--model", model]))
         cmds.append((f"compare {label}", ["compare", "--data", data, "--models", ",".join(MODELS)]))
+    for model in EDGE_MODELS:
+        cmds.append((f"fit constant-{CONSTANT_N} {model}",
+                     ["fit", "--data", constant_file, "--model", model]))
     for name, p in LAWS.items():
         lo, hi = quantile(p, [0.01, 0.99])
         cmds += [
@@ -83,6 +91,7 @@ def commands(midpoint_file: str) -> list:
                                      "--t", _points(p, [0.05, 0.25, 0.5, 0.75, 0.95])]),
             (f"eval {name}", ["eval", *_flags(p),
                               "--x", _points(p, [0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999])]),
+            (f"eval left tail {name}", ["eval", *_flags(p), "--x", _points(p, [1e-6, 1e-4, 1e-2])]),
         ]
     cmds += [
         ("fit aarset cauchy (error)", ["fit", "--data", "aarset", "--model", "cauchy"]),
@@ -121,7 +130,10 @@ def main(argv=None):
         values = quantile(MIDPOINT_LAW, (np.arange(MIDPOINT_N) + 0.5) / MIDPOINT_N)
         with open(midpoint_file, "w", encoding="utf-8") as fh:
             fh.write("".join(f"{v!r}\n" for v in values.tolist()))
-        cmds = commands(midpoint_file)
+        constant_file = os.path.join(tmp, f"constant_{CONSTANT_N}.txt")
+        with open(constant_file, "w", encoding="utf-8") as fh:
+            fh.write("3\n" * CONSTANT_N)
+        cmds = commands(midpoint_file, constant_file)
         for label, cmd in cmds:
             old, new = run(args.parent, cmd, tmp), run(HERE_SRC, cmd, tmp)
             print(f"{'identical' if old == new else 'differs':9}  {label}", flush=True)

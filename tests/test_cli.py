@@ -67,6 +67,14 @@ class TestFitCommand:
         code, _, _ = run(capsys, "fit", "--data", "aarset", "--model", "cauchy")
         assert code == 1
 
+    def test_competitor_search_at_its_edge_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "constant.txt"
+        path.write_text("3\n" * 10)
+        for model, want in (("ed", True), ("ged", False), ("gd", False), ("giw", False),
+                            ("egiw", False)):
+            code, out, _ = run(capsys, "fit", "--data", str(path), "--model", model)
+            assert (code, json.loads(out)["converged"]) == ((0, True) if want else (2, False))
+
     def test_competitor_curvature_failure_is_best_effort(self, capsys, monkeypatch):
         from egwgd import submodels
 

@@ -91,6 +91,9 @@ def clamp_laws():
             yield p, xc
 
 
+LEFT_TAIL_QUANTILES = np.array([1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5])
+
+
 def assert_matches_scalar_calls(fn, p, xs):
     got = np.atleast_1d(fn(p, np.asarray(xs)))
     assert all(g == fn(p, float(x)) for g, x in zip(got, xs))
@@ -254,6 +257,44 @@ class TestSurvival:
             p = random_params(rng)
             x = quantile(p, float(rng.uniform(0.01, 0.99)))
             assert abs(survival(p, x) + cdf(p, x) - 1.0) < 1e-14
+
+    @given(BOX_LAWS)
+    @example(EgwgParams(0.5, 0.2, 0.3, 0.5, 1.5))
+    def test_log_is_full_precision_in_the_left_tail(self, p):
+        # where F is small, log R = log1p(-F); forming 1 - F first keeps only
+        # the bits of F above 2^-53 (1.8e-7 relative at this law's x = 1e-8)
+        try:
+            xs = _batch_quantile(p, LEFT_TAIL_QUANTILES)
+        except BracketError:
+            return
+        want = np.log1p(-cdf(p, xs))
+        assert np.all(np.abs(log_survival(p, xs) - want) <= 1e-13 * np.abs(want))
+
+
+class TestLog1mexp:
+    """distribution._log1mexp, the package's one log(1 - e^{-z})."""
+
+    # across the range, and ln 2 with the floats on either side of it
+    ZS = np.array([1e-300, 1e-20, 1e-8, 0.3, np.nextafter(LN2, 0.0), LN2,
+                   np.nextafter(LN2, 1.0), 1.0, 5.0, 40.0, 700.0, 800.0])
+
+    def test_branches_bit_for_bit(self):
+        got = distribution._log1mexp(self.ZS)
+        with np.errstate(divide="ignore"):
+            want = np.where(self.ZS > LN2, np.log1p(-np.exp(-self.ZS)),
+                            np.log(-np.expm1(-self.ZS)))
+        assert got.tobytes() == want.tobytes()
+
+    def test_ends_of_the_range(self):
+        with np.errstate(divide="ignore"):
+            assert distribution._log1mexp(np.array([0.0]))[0] == -math.inf
+        assert distribution._log1mexp(np.array([math.inf]))[0] == 0.0
+
+    def test_scalar_is_the_array_element(self):
+        batch = distribution._log1mexp(self.ZS)
+        for z, want in zip(self.ZS, batch):
+            one = distribution._log1mexp(z)   # a numpy float64, as a * x at one x gives
+            assert np.ndim(one) == 0 and np.float64(one).tobytes() == want.tobytes()
 
 
 class TestHazard:

@@ -187,6 +187,29 @@ class TestCompetitorFits:
         assert_allclose(spec.params[0] * 9.5, 100.0, rtol=1e-6)
         assert_stationary(spec, x, coords=(1,))
 
+    @pytest.mark.parametrize("kind", ["ged", "gd", "giw", "egiw"])
+    def test_a_search_ending_at_its_edge_is_not_converged(self, kind):
+        # with no spread the likelihood rises toward one end of each interval
+        spec = fit_competitor(kind, np.full(10, 3.0))
+        assert spec.converged is False
+        assert spec == CompetitorSpec(kind, spec.params)   # equality ignores it
+
+    def test_interior_fits_are_converged(self):
+        assert fit_competitor("ed", np.full(10, 3.0)).converged is True
+        for kind in COMPETITOR_K:
+            assert fit_competitor(kind, AARSET).converged is True
+        assert CompetitorSpec("ged", (0.021, 0.902)).converged is True
+
+    @pytest.mark.parametrize("kind", ["giw", "egiw"])
+    @pytest.mark.parametrize("scale", [1e7, 1e-7])
+    def test_inverse_weibull_fits_far_from_unit_scale_are_converged(self, kind, scale):
+        # x^-50, at the top of beta's interval, underflows for every x here
+        # (scale 1e7) or overflows (1e-7): the fit must not evaluate it
+        x = np.random.default_rng(4).uniform(1.0, 3.0, 40) * scale
+        spec = fit_competitor(kind, x)
+        assert spec.converged is True
+        assert 1.0 < spec.params[-1] < 50.0
+
     @pytest.mark.parametrize("kind", ["ed", "ged", "gd", "iw", "giw", "egiw"])
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
     def test_values_that_are_not_lifetimes_are_rejected(self, kind, bad):
