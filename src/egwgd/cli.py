@@ -2,11 +2,12 @@
 
 Subcommands: fit, compare, curves, sample, reliability, eval.  Machine
 outputs (JSON / CSV / sample lines) serialize numbers at full precision;
-exit codes are 0 on success, 1 on usage or input errors, and 2 when a fit
-returned a best-effort, non-converged result.  Each command imports the
-modules it runs inside its handler, so ``eval`` and ``sample`` load neither
-the fitting nor the quadrature modules, ``fit`` loads no ``gof``, and a
-competitor fit loads no ``estimation``.  No command loads scipy.
+exit codes are 0 on success, 1 on usage or input errors, and 2 when a fit,
+or any of compare's fits, returned a best-effort, non-converged result.
+Each command imports the modules it runs inside its handler, so ``eval``
+and ``sample`` load neither the fitting nor the quadrature modules, ``fit``
+loads no ``gof``, and a competitor fit loads no ``estimation``.  No command
+loads scipy.
 
 Where OPENBLAS_NUM_THREADS is unset, this module sets it to 1 before it
 imports numpy: no command makes a BLAS call larger than a 14 x 14 Cholesky,
@@ -154,12 +155,15 @@ def _cmd_fit(args) -> int:
         payload = {"model": name, "params": res.as_dict(),
                    "loglik": submodels.competitor_loglik(res, values), "k": res.k,
                    "converged": res.converged}
-        try:
-            cov = submodels.competitor_covariance(res, values)
-            payload["covariance"] = {"order": list(submodels.COMPETITOR_PARAM_NAMES[name]),
-                                     "values": [float(v) for v in cov.ravel()]}
-        except (EgwgError, np.linalg.LinAlgError):
-            pass   # curvature is best-effort for competitor models
+        # at the edge of its interval a search has found no maximum, so the
+        # curvature there is no inverse covariance
+        if res.converged:
+            try:
+                cov = submodels.competitor_covariance(res, values)
+                payload["covariance"] = {"order": list(submodels.COMPETITOR_PARAM_NAMES[name]),
+                                         "values": [float(v) for v in cov.ravel()]}
+            except (EgwgError, np.linalg.LinAlgError):
+                pass   # curvature is best-effort for competitor models
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK if payload["converged"] else EXIT_NOT_CONVERGED
 
@@ -171,9 +175,11 @@ def _cmd_compare(args) -> int:
     names = [t for t in args.models.replace(",", " ").split() if t]
     if not names:
         raise DomainError("empty model list")
-    fitted = []
+    fitted, unconverged = [], []
     for name in names:
         name, res = _fit_model(name, values, args.restarts, args.level)
+        if not res.converged:
+            unconverged.append(name)
         if name == "egwgd":
             fitted.append(gof.FittedModel(name, res.params.to_dict(), 5,
                                           lambda x, p=res.params: dist.cdf(p, x), -res.loglik))
@@ -183,6 +189,9 @@ def _cmd_compare(args) -> int:
                                           -submodels.competitor_loglik(res, values)))
     reports, _ = gof.compare(values, fitted)
     _emit(gof.reports_to_csv(reports), args.out)
+    if unconverged:
+        print(f"warning: not converged: {', '.join(unconverged)}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     return EXIT_OK
 
 
@@ -235,12 +244,9 @@ def _cmd_eval(args) -> int:
     xs = _float_list(args.x)
     if not xs:
         raise DomainError("no evaluation points given")
-    rows = []
-    for x in xs:
-        rows.append({"x": x,
-                     "cdf": float(dist.cdf(p, x)),
-                     "pdf": float(dist.pdf(p, x)),
-                     "hazard": float(dist.hazard(p, x))})
+    x = np.array(xs)
+    columns = [f(p, x).tolist() for f in (dist.cdf, dist.pdf, dist.hazard)]
+    rows = [{"x": v, "cdf": F, "pdf": f, "hazard": h} for v, F, f, h in zip(xs, *columns)]
     _emit(json.dumps(rows, indent=2) + "\n", args.out)
     return EXIT_OK
 

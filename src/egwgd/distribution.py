@@ -432,7 +432,7 @@ def _log_target(p: EgwgParams, q: np.ndarray) -> np.ndarray:
         return np.where(lnu < -36.0, lnu, np.log(-_log1mexp(-lnu))) - math.log(p.a)
 
 
-_LOG_X_GUARD = 996 * _LN2   # roots lie in 2^-996 ... 2^996, find_root_increasing's bracket range
+_LOG_X_GUARD = 996 * _LN2   # roots lie in 2^-996 ... 2^996
 _NEWTON_MAX_ITER = 64       # the fit's box corners take at most 13 steps
 
 

@@ -60,7 +60,7 @@ from .exceptions import (
     StencilError,
 )
 from .numerics import numerical_hessian
-from .optimize import _lbfgsb, brentq
+from .optimize import _lbfgsb, _projgr, _tenable, brentq
 from .optimize import minimize  # noqa: F401  (perfbench's tracer wraps this name)
 
 __all__ = [
@@ -408,8 +408,9 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
 
     Each restart runs gradient-based L-BFGS-B (``optimize._lbfgsb``, the
     package's port of scipy's), capped at ``_LBFGSB_MAX_ITER`` iterations.
-    A terminus counts as converged when its gradient, projected onto the
-    feasible box, satisfies the stationarity check.  Only when the
+    A terminus counts as converged when its value and gradient are finite
+    and L-BFGS-B's own projected-gradient norm there (``optimize._projgr``)
+    is at most ``_STATIONARITY_SCALE * max(1, |f|)``.  Only when the
     endpoint fails that check does a second L-BFGS-B run start from it,
     with a fresh curvature memory.  Each restart keeps the results of its
     runs, and its terminus is the one with the least value (the first run's
@@ -437,30 +438,24 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
         raise DomainError("the five-parameter fit needs n >= 5")
     x = data.values
     obj = _Objective(data)
-    lb = np.log([b[0] for b in cfg.box])
-    ub = np.log([b[1] for b in cfg.box])
+    lb, ub = np.log(cfg.box).T.tolist()
 
     def stationarity(r):
         """(max |projected gradient|, whether it passes the stationarity test) at run result r."""
-        proj = r.jac.copy()
-        at_lb = np.isclose(r.x, lb, rtol=0.0, atol=1e-12)
-        at_ub = np.isclose(r.x, ub, rtol=0.0, atol=1e-12)
-        proj[at_lb & (proj > 0.0)] = 0.0   # minimising: outward push is inert
-        proj[at_ub & (proj < 0.0)] = 0.0
-        pg = float(np.max(np.abs(proj)))
-        return pg, math.isfinite(r.fun) and pg <= _STATIONARITY_SCALE * max(1.0, abs(r.fun))
+        g = r.jac.tolist()
+        pg = _projgr(r.x.tolist(), g, lb, ub)
+        return pg, _tenable(r.fun, g) and pg <= _STATIONARITY_SCALE * max(1.0, abs(r.fun))
 
     runs = []      # per restart: its runs' results, the first run's and the retry's if it ran
     active = []    # (restart index, run, the point it asks for)
 
     def start(k, u0):
-        run = _lbfgsb(u0, lb.tolist(), ub.tolist(), maxiter=_LBFGSB_MAX_ITER,
-                      ftol=1e-14, gtol=1e-12)
+        run = _lbfgsb(u0, lb, ub, maxiter=_LBFGSB_MAX_ITER, ftol=1e-14, gtol=1e-12)
         active.append((k, run, next(run)))
 
     for k, anchor in enumerate(_anchors(x, cfg.n_restarts)):
         runs.append([])
-        start(k, np.clip(np.log(anchor), lb, ub))
+        start(k, np.log(anchor))   # the run clips its start into the box
     while active:
         f, g = obj.value_grad(np.array([u for _, _, u in active]))
         asking, active = active, []

@@ -114,7 +114,7 @@ def _lbfgsb(x0, lo, hi, maxiter=15000, ftol=2.220446049250313e-09, gtol=1e-5):
         theta, N = memory.theta, memory.N
         xcp, Nz = _cauchy(x, g, lo, hi, theta, N, iwhere)
         free = [i for i in range(n) if iwhere[i] <= 0]
-        z = xcp if N is None or not free else _subspace_step(x, g, xcp, Nz, free, lo, hi, theta, N)
+        z = _subspace_step(x, g, xcp, Nz, free, lo, hi, theta, N) if memory.col and free else xcp
         if z is None:                  # singular subspace system: refresh the memory
             memory.clear()
             continue
@@ -122,23 +122,7 @@ def _lbfgsb(x0, lo, hi, maxiter=15000, ftol=2.220446049250313e-09, gtol=1e-5):
 
         # line search from the unit step; the first iteration may not leave
         # the unit box around x, later ones stop at the box
-        if nit == 0:
-            stpmax = 1.0
-        else:
-            stpmax = 1e10
-            for di, xi, l, h in zip(d, x, lo, hi):
-                if di < 0.0:
-                    a2 = l - xi
-                    if a2 >= 0.0:
-                        stpmax = 0.0
-                    elif di * stpmax < a2:
-                        stpmax = a2 / di
-                elif di > 0.0:
-                    a2 = h - xi
-                    if a2 <= 0.0:
-                        stpmax = 0.0
-                    elif di * stpmax > a2:
-                        stpmax = a2 / di
+        stpmax = 1.0 if nit == 0 else _step_to_box(x, d, lo, hi, range(n), 1e10)[0]
         xk, f0, g0, jac0 = x, f, g, jac    # the iterate the line search starts from
         stp = 1.0
         gd0 = sum(map(mul, g, d))
@@ -157,7 +141,7 @@ def _lbfgsb(x0, lo, hi, maxiter=15000, ftol=2.220446049250313e-09, gtol=1e-5):
                     break
         if not ok:
             x, f, g, jac = xk, f0, g0, jac0
-            if memory.N is None:
+            if not memory.col:
                 message = "ABNORMAL: "
             memory.clear()
             continue
@@ -199,6 +183,40 @@ def _projgr(x, g, lo, hi):
     return out
 
 
+def _step_to_box(x, d, lo, hi, idx, cap):
+    """The longest step t <= cap from x along d that keeps the variables idx
+    in the box, with d[k] the direction of variable idx[k].
+
+    Returns t and the position k in idx of the variable whose bound sets it
+    (-1 when cap does); t is 0 where d points out of the box at a variable
+    already on its bound.
+    """
+    t, hit = cap, -1
+    for k, i in enumerate(idx):
+        dk = d[k]
+        if dk < 0.0:
+            room = lo[i] - x[i]
+            if room >= 0.0:
+                tk = 0.0
+            elif dk * t < room:
+                tk = room / dk
+            else:
+                continue
+        elif dk > 0.0:
+            room = hi[i] - x[i]
+            if room <= 0.0:
+                tk = 0.0
+            elif dk * t > room:
+                tk = room / dk
+            else:
+                continue
+        else:
+            continue
+        if tk < t:
+            t, hit = tk, k
+    return t, hit
+
+
 class _Memory:
     """The last m = 10 curvature pairs and the dense L-BFGS matrix they define.
 
@@ -217,7 +235,7 @@ class _Memory:
     The pairs sit in the trailing columns of [L; Y] and the trailing rows
     of [S'; I], oldest first; a new pair shifts the others one slot back,
     and the oldest drops out once there are m, as in scipy's matupd.
-    ``N`` is the matrix as nested lists, or None when the memory is empty
+    ``N`` is the matrix as nested lists, zero when the memory is empty
     (then B = I and theta = 1).
     """
 
@@ -231,7 +249,8 @@ class _Memory:
         self.clear()
 
     def clear(self):
-        self.col, self.theta, self.N = 0, 1.0, None
+        n = self.St.shape[1]
+        self.col, self.theta, self.N = 0, 1.0, [[0.0] * n for _ in range(n)]
 
     def add(self, s, y, sy):
         """Store the pair (s, y) with s'y = sy and rebuild N (or clear the memory)."""
@@ -266,8 +285,8 @@ def _cauchy(x, g, lo, hi, theta, N, iwhere):
     """Generalized Cauchy point: the first local minimiser of the quadratic
     model along the projected steepest-descent path x(t) = P(x - t g).
 
-    The model's matrix is B = theta I - N (N None for zero).  Returns the
-    point and N (xcp - x), accumulated along the path as scipy accumulates
+    The model's matrix is B = theta I - N.  Returns the point and
+    N (xcp - x), accumulated along the path as scipy accumulates
     W'(xcp - x).  Sets iwhere[i] to 1 (2) for a variable held at its lower
     (upper) bound, -3 for one with zero gradient and 0 for a free one.
     """
@@ -293,10 +312,8 @@ def _cauchy(x, g, lo, hi, theta, N, iwhere):
     Nz = [0.0] * n
     if not breaks:
         return xcp, Nz
-    f2 = -theta * f1
-    if N is not None:
-        Nd = [sum(map(mul, row, d)) for row in N]
-        f2 -= sum(map(mul, Nd, d))
+    Nd = [sum(map(mul, row, d)) for row in N]
+    f2 = -theta * f1 - sum(map(mul, Nd, d))
     f2_org = f2
     dtm = _div(-f1, f2)
     tsum = tj = 0.0
@@ -317,28 +334,24 @@ def _cauchy(x, g, lo, hi, theta, N, iwhere):
         else:
             zibp = lo[ibp] - x[ibp]
             xcp[ibp], iwhere[ibp] = lo[ibp], 1
+        Nz = [a + dt * b for a, b in zip(Nz, Nd)]
         if nleft == 0 and len(breaks) == n:
-            if N is not None:
-                Nz = [a + dt * b for a, b in zip(Nz, Nd)]
             return xcp, Nz
         # slope f1 and curvature f2 of the model along the new direction
         dibp2 = dibp * dibp
         f1 = f1 + dt * f2 + dibp2 - theta * dibp * zibp
         f2 = f2 - theta * dibp2
-        if N is not None:
-            Nz = [a + dt * b for a, b in zip(Nz, Nd)]
-            wmc, wmp, wmw = Nz[ibp], Nd[ibp], N[ibp][ibp]
-            Nd = [a - dibp * b for a, b in zip(Nd, N[ibp])]
-            f1 = f1 + dibp * wmc
-            f2 = f2 + 2.0 * dibp * wmp - dibp2 * wmw
+        wmc, wmp, wmw = Nz[ibp], Nd[ibp], N[ibp][ibp]
+        Nd = [a - dibp * b for a, b in zip(Nd, N[ibp])]
+        f1 = f1 + dibp * wmc
+        f2 = f2 + 2.0 * dibp * wmp - dibp2 * wmw
         f2 = max(_EPS * f2_org, f2)
         dtm = _div(-f1, f2) if nleft > 0 else 0.0
     if dtm <= 0.0:
         dtm = 0.0
     tsum += dtm
     xcp = [tsum * di + xc for xc, di in zip(xcp, d)]
-    if N is not None:
-        Nz = [a + dtm * b for a, b in zip(Nz, Nd)]
+    Nz = [a + dtm * b for a, b in zip(Nz, Nd)]
     return xcp, Nz
 
 
@@ -362,24 +375,7 @@ def _subspace_step(x, g, xcp, Nz, free, lo, hi, theta, N):
         hit = hit or z[i] == lo[i] or z[i] == hi[i]
     if not hit or sum((zi - xi) * gi for zi, xi, gi in zip(z, x, g)) <= 0.0:
         return z
-    alpha = temp = 1.0
-    ibd = -1
-    for k, i in enumerate(free):
-        dk = du[k]
-        if dk < 0.0:
-            t2 = lo[i] - xcp[i]
-            if t2 >= 0.0:
-                temp = 0.0
-            elif dk * alpha < t2:
-                temp = t2 / dk
-        elif dk > 0.0:
-            t2 = hi[i] - xcp[i]
-            if t2 <= 0.0:
-                temp = 0.0
-            elif dk * alpha > t2:
-                temp = t2 / dk
-        if temp < alpha:
-            alpha, ibd = temp, k
+    alpha, ibd = _step_to_box(xcp, du, lo, hi, free, 1.0)
     z = list(xcp)
     if alpha < 1.0:
         i = free[ibd]
@@ -463,19 +459,15 @@ class _Dcsrch:
                 or stp == 0.0 and (f > ftest or g >= self.gtest)
                 or f <= ftest and abs(g) <= self.gtol * -self.ginit):
             return stp, True
-        gtest = self.gtest
-        if self.stage == 1 and f <= self.fx and f > ftest:
-            # the modified function psi(stp) = f - stp * gtest predicts the step
-            stx, fxm, gxm, sty, fym, gym, stp, self.brackt = _dcstep(
-                self.stx, self.fx - self.stx * gtest, self.gx - gtest,
-                self.sty, self.fy - self.sty * gtest, self.gy - gtest,
-                stp, f - stp * gtest, g - gtest, brackt, self.stmin, self.stmax)
-            self.fx, self.fy = fxm + stx * gtest, fym + sty * gtest
-            self.gx, self.gy = gxm + gtest, gym + gtest
-        else:
-            stx, self.fx, self.gx, sty, self.fy, self.gy, stp, self.brackt = _dcstep(
-                self.stx, self.fx, self.gx, self.sty, self.fy, self.gy,
-                stp, f, g, brackt, self.stmin, self.stmax)
+        # in stage 1, below the best value but above the sufficient-decrease
+        # line, the modified function psi(stp) = f - stp * gtest predicts the step
+        shift = self.gtest if self.stage == 1 and f <= self.fx and f > ftest else 0.0
+        stx, fxm, gxm, sty, fym, gym, stp, self.brackt = _dcstep(
+            self.stx, self.fx - self.stx * shift, self.gx - shift,
+            self.sty, self.fy - self.sty * shift, self.gy - shift,
+            stp, f - stp * shift, g - shift, brackt, self.stmin, self.stmax)
+        self.fx, self.fy = fxm + stx * shift, fym + sty * shift
+        self.gx, self.gy = gxm + shift, gym + shift
         self.stx, self.sty = stx, sty
         if self.brackt:
             if abs(sty - stx) >= 0.66 * self.width1:
@@ -502,6 +494,19 @@ class _Dcsrch:
         return stp
 
 
+def _cubic(fa, fb, dt, da, db, flip, clip=False):
+    """theta and gamma of dcstep's cubic through two steps dt apart, with
+    values fa, fb and slopes da, db: theta = 3 (fa - fb) / dt + da + db and
+    gamma = +-sqrt(theta^2 - da db), negated when flip, scaled by
+    s = max(|theta|, |da|, |db|) against overflow.  A negative radicand
+    gives NaN, or 0 when clip."""
+    theta = 3.0 * (fa - fb) / dt + da + db
+    s = max(abs(theta), abs(da), abs(db))
+    r = (theta / s) ** 2 - (da / s) * (db / s)
+    gamma = s * (math.sqrt(max(0.0, r)) if clip else _sqrt(r))
+    return theta, -gamma if flip else gamma
+
+
 def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     """MINPACK-2 dcstep: a safeguarded cubic or quadratic step, and the
     update of the interval (stx, sty) that brackets a step meeting the
@@ -509,11 +514,7 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     opposite = (dp < 0.0 < dx) or (dx < 0.0 < dp)
     if fp > fx:
         # a higher function value: the minimum is bracketed
-        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-        s = max(abs(theta), abs(dx), abs(dp))
-        gamma = s * _sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
-        if stp < stx:
-            gamma = -gamma
+        theta, gamma = _cubic(fx, fp, stp - stx, dx, dp, stp < stx)
         p = (gamma - dx) + theta
         q = ((gamma - dx) + gamma) + dp
         stpc = stx + _div(p, q) * (stp - stx)
@@ -522,11 +523,7 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
         brackt = True
     elif opposite:
         # a lower value and derivatives of opposite sign: bracketed
-        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-        s = max(abs(theta), abs(dx), abs(dp))
-        gamma = s * _sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
-        if stp > stx:
-            gamma = -gamma
+        theta, gamma = _cubic(fx, fp, stp - stx, dx, dp, stp > stx)
         p = (gamma - dp) + theta
         q = ((gamma - dp) + gamma) + dx
         stpc = stp + _div(p, q) * (stx - stp)
@@ -535,11 +532,7 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
         brackt = True
     elif abs(dp) < abs(dx):
         # a lower value, same-sign derivatives, and the slope decreases
-        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-        s = max(abs(theta), abs(dx), abs(dp))
-        gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (dx / s) * (dp / s)))
-        if stp > stx:
-            gamma = -gamma
+        theta, gamma = _cubic(fx, fp, stp - stx, dx, dp, stp > stx, clip=True)
         p = (gamma - dp) + theta
         q = (gamma + (dx - dp)) + gamma
         r = _div(p, q)
@@ -561,11 +554,7 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
             stpf = max(stpmin, min(stpmax, stpf))
     elif brackt:
         # a lower value, same-sign derivatives, the slope does not decrease
-        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
-        s = max(abs(theta), abs(dy), abs(dp))
-        gamma = s * _sqrt((theta / s) ** 2 - (dy / s) * (dp / s))
-        if stp > sty:
-            gamma = -gamma
+        theta, gamma = _cubic(fp, fy, sty - stp, dy, dp, stp > sty)
         p = (gamma - dp) + theta
         q = ((gamma - dp) + gamma) + dy
         stpf = stp + _div(p, q) * (sty - stp)
@@ -600,10 +589,12 @@ def minimize_scalar_bounded(func, lo, hi, xatol=1e-5, maxiter=500):
     fx = func(x)
     num = 1
     ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+            break
         golden = True
         if abs(e) > tol1:          # try a parabolic step
             golden = False
@@ -647,9 +638,6 @@ def minimize_scalar_bounded(func, lo, hi, xatol=1e-5, maxiter=500):
                 nfc, fnfc = x, fu
             elif fu <= ffulc or fulc == xf or fulc == nfc:
                 fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
         if num >= maxiter:
             break
     return xf

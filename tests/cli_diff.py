@@ -4,14 +4,14 @@ The matrix is fixed: ``fit`` with every model (and the Gompertz alias)
 and one ``compare`` of all models, on Aarset and on the 2000-point
 midpoint-quantile sample of the law (0.001, 0.5, 0.3, 0.8, 0.5); ``fit``
 with GED, GD, GIW and EGIW on a sample of ten 3s, where each search ends at
-its interval's edge; then ``sample``, ``curves --mrl``,
-``reliability`` (with a repair law) and ``eval`` on a bathtub, an
-increasing and a decreasing hazard, and ``eval`` at each law's
-1e-6, 1e-4 and 1e-2 quantiles, its left tail; and three commands that fail (an
-unknown model to ``fit`` and to ``compare``, and ``sample --n 0``), so their
-exit statuses are compared too.  These laws restate the benchmark's
-own, and every input is made here with numpy alone, so neither tree's
-package shapes what the other is given.
+its interval's edge, and a ``compare`` of ED, GED and GD there; then
+``sample``, ``curves --mrl``, ``reliability`` (with a repair law) and
+``eval`` on a bathtub, an increasing and a decreasing hazard, and ``eval``
+at each law's 1e-6, 1e-4 and 1e-2 quantiles, its left tail; and three
+commands that fail (an unknown model to ``fit`` and to ``compare``, and
+``sample --n 0``), so their exit statuses are compared too.  These laws
+restate the benchmark's own, and every input is made here with numpy
+alone, so neither tree's package shapes what the other is given.
 
 Each command runs as ``python -m egwgd.cli`` with OPENBLAS_NUM_THREADS=1,
 once with the package from --parent and once from this tree's ``src``.
@@ -40,6 +40,7 @@ MIDPOINT_LAW = (0.001, 0.5, 0.3, 0.8, 0.5)
 MIDPOINT_N = 2000
 CONSTANT_N = 10       # the constant sample's size; each value is 3
 EDGE_MODELS = ("ged", "gd", "giw", "egiw")   # their searches end at an edge on it
+CONSTANT_COMPARE = "ed,ged,gd"
 LAWS = {
     "bathtub": (0.000085, 0.128, 0.401, 0.69901, 0.246),
     "increasing": (0.5, 0.2, 0.3, 0.5, 1.5),
@@ -81,6 +82,8 @@ def commands(midpoint_file: str, constant_file: str) -> list:
     for model in EDGE_MODELS:
         cmds.append((f"fit constant-{CONSTANT_N} {model}",
                      ["fit", "--data", constant_file, "--model", model]))
+    cmds.append((f"compare constant-{CONSTANT_N} {CONSTANT_COMPARE}",
+                 ["compare", "--data", constant_file, "--models", CONSTANT_COMPARE]))
     for name, p in LAWS.items():
         lo, hi = quantile(p, [0.01, 0.99])
         cmds += [

@@ -73,7 +73,10 @@ class TestFitCommand:
         for model, want in (("ed", True), ("ged", False), ("gd", False), ("giw", False),
                             ("egiw", False)):
             code, out, _ = run(capsys, "fit", "--data", str(path), "--model", model)
-            assert (code, json.loads(out)["converged"]) == ((0, True) if want else (2, False))
+            payload = json.loads(out)
+            assert (code, payload["converged"]) == ((0, True) if want else (2, False))
+            # the curvature at an edge is not that of a maximum: no covariance
+            assert ("covariance" in payload) == want
 
     def test_competitor_curvature_failure_is_best_effort(self, capsys, monkeypatch):
         from egwgd import submodels
@@ -106,9 +109,9 @@ class TestFitCommand:
 
 class TestCompareCommand:
     def test_four_models_full_family_wins(self, capsys):
-        code, out, _ = run(capsys, "compare", "--data", "aarset",
-                           "--models", "ed,ged,gd,egwgd")
-        assert code == 0
+        code, out, err = run(capsys, "compare", "--data", "aarset",
+                             "--models", "ed,ged,gd,egwgd")
+        assert (code, err) == (0, "")   # every fit converged
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["model"] for r in rows] == ["ed", "ged", "gd", "egwgd"]
         table = {r["model"]: r for r in rows}
@@ -116,6 +119,15 @@ class TestCompareCommand:
             winner = min(rows, key=lambda r: float(r[col]))
             assert winner["model"] == "egwgd", col
         assert abs(float(table["ed"]["ks"]) - 0.191) < 0.005
+
+    def test_a_fit_at_its_edge_exits_two_and_is_named(self, capsys, tmp_path):
+        path = tmp_path / "constant.txt"
+        path.write_text("3\n" * 10)
+        code, out, err = run(capsys, "compare", "--data", str(path), "--models", "ed,ged,gd")
+        assert code == 2
+        assert err == "warning: not converged: ged, gd\n"
+        # the CSV is printed in full all the same
+        assert [r["model"] for r in csv.DictReader(io.StringIO(out))] == ["ed", "ged", "gd"]
 
     def test_empty_model_list(self, capsys):
         code, _, _ = run(capsys, "compare", "--data", "aarset", "--models", ",")

@@ -197,6 +197,14 @@ class TestPdf:
         assert_allclose(log_cdf(p, x), want_lf, rtol=1e-14)
         assert_allclose(log_pdf(p, x), want_lp, rtol=1e-14)
 
+    def test_array_is_the_scalar_calls(self):
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            p = random_params(rng)
+            xs = _batch_quantile(p, np.linspace(1e-3, 0.999, 40)).tolist()
+            for fn in (log_pdf, pdf):
+                assert_matches_scalar_calls(fn, p, xs)
+
     def test_gompertz_closed_form(self):
         expected = math.e * math.exp(-(math.e - 1.0))
         assert_allclose(pdf(GOMPERTZ, 1.0), expected, rtol=1e-13)
@@ -301,6 +309,13 @@ class TestHazard:
     def test_gompertz_is_exponential(self):
         for x in (0.3, 1.0, 1.7, 2.4):
             assert_allclose(hazard(GOMPERTZ, x), math.exp(x), rtol=1e-12)
+
+    def test_array_is_the_scalar_calls(self):
+        rng = np.random.default_rng(18)
+        for _ in range(5):
+            p = random_params(rng)
+            assert_matches_scalar_calls(
+                hazard, p, _batch_quantile(p, np.linspace(1e-3, 0.999, 40)).tolist())
 
     def test_ratio_identity_theta_one(self):
         rng = np.random.default_rng(17)
