@@ -288,9 +288,19 @@ def _theta_hat(n: int, ssum) -> float:
 # multistart fit
 # ---------------------------------------------------------------------------
 
-_STATIONARITY_SCALE = 1e-4   # converged: max |projected grad| <= scale * max(1, |L|)
+_STATIONARITY_SCALE = 1e-4   # converged: max |projected grad / max(1, |L|)| <= scale
 _LBFGSB_MAX_ITER = 500       # caps each L-BFGS-B run: the first and the retry
 _PASS_POINTS = 2 ** 14       # a kernel pass holds at most max(1, this // n) rows of n points
+
+
+def _stationarity(r, lb, ub):
+    """(max |projected gradient| / max(1, |f|), whether f and g are finite and
+    that is at most _STATIONARITY_SCALE) at run result r in the log box lb, ub.
+    Scaling g before ``_projgr`` keeps its distance to a bound in log units."""
+    g = r.jac.tolist()
+    s = max(1.0, abs(r.fun))
+    pg = _projgr(r.x.tolist(), [gi / s for gi in g], lb, ub)
+    return pg, _tenable(r.fun, g) and pg <= _STATIONARITY_SCALE
 
 
 class _Objective:
@@ -409,12 +419,12 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     Each restart runs gradient-based L-BFGS-B (``optimize._lbfgsb``, the
     package's port of scipy's), capped at ``_LBFGSB_MAX_ITER`` iterations.
     A terminus counts as converged when its value and gradient are finite
-    and L-BFGS-B's own projected-gradient norm there (``optimize._projgr``)
-    is at most ``_STATIONARITY_SCALE * max(1, |f|)``.  Only when the
-    endpoint fails that check does a second L-BFGS-B run start from it,
-    with a fresh curvature memory.  Each restart keeps the results of its
-    runs, and its terminus is the one with the least value (the first run's
-    on a tie).  L-BFGS-B accepts only iterates
+    and L-BFGS-B's own projected-gradient norm (``optimize._projgr``) of the
+    gradient divided by ``max(1, |f|)`` is at most ``_STATIONARITY_SCALE``
+    (see ``_stationarity``).  Only when the endpoint fails that check does
+    a second L-BFGS-B run start from it, with a fresh curvature memory.
+    Each restart keeps the results of its runs, and its terminus is the one
+    with the least value (the first run's on a tie).  L-BFGS-B accepts only iterates
     that pass its sufficient-decrease line search, so no endpoint is worse
     than its start.  The best converged terminus wins (ties resolve to the
     earliest restart).  If no restart converges the best point is returned
@@ -430,8 +440,8 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
 
     One DEBUG record per restart goes to the ``egwgd.estimation`` logger:
     the L-BFGS-B evaluation count and message, the endpoint's largest
-    projected gradient, and whether the retry ran, with its evaluation
-    count and message.
+    projected gradient over max(1, |f|), and whether the retry ran, with
+    its evaluation count and message.
     """
     cfg = config or FitConfig()
     if data.n < 5:
@@ -439,12 +449,6 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     x = data.values
     obj = _Objective(data)
     lb, ub = np.log(cfg.box).T.tolist()
-
-    def stationarity(r):
-        """(max |projected gradient|, whether it passes the stationarity test) at run result r."""
-        g = r.jac.tolist()
-        pg = _projgr(r.x.tolist(), g, lb, ub)
-        return pg, _tenable(r.fun, g) and pg <= _STATIONARITY_SCALE * max(1.0, abs(r.fun))
 
     runs = []      # per restart: its runs' results, the first run's and the retry's if it ran
     active = []    # (restart index, run, the point it asks for)
@@ -464,7 +468,7 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
                 active.append((k, run, run.send((fk, gk))))
             except StopIteration as done:
                 runs[k].append(done.value)
-                if len(runs[k]) == 1 and not stationarity(done.value)[1]:
+                if len(runs[k]) == 1 and not _stationarity(done.value, lb, ub)[1]:
                     # one fresh L-BFGS-B run from the endpoint, with no curvature memory
                     start(k, done.value.x)
     n_evals = obj.n_evals
@@ -473,11 +477,12 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     termini = []   # per restart: (its best run's result, whether that is stationary)
     for k, (r1, *retry) in enumerate(runs, start=1):
         best = min([r1, *retry], key=lambda r: r.fun)   # the first run wins ties
-        _log.debug("restart %d: L-BFGS-B nfev=%d (%s), max projected gradient %.3g; %s",
-                   k, r1.nfev, r1.message, stationarity(r1)[0],
+        _log.debug("restart %d: L-BFGS-B nfev=%d (%s), "
+                   "max projected gradient / max(1, |f|) %.3g; %s",
+                   k, r1.nfev, r1.message, _stationarity(r1, lb, ub)[0],
                    f"retry ran: nfev={retry[0].nfev} ({retry[0].message})" if retry
                    else "retry skipped")
-        termini.append((best, stationarity(best)[1]))
+        termini.append((best, _stationarity(best, lb, ub)[1]))
 
     best, converged = min([t for t in termini if t[1]] or termini,
                           key=lambda t: t[0].fun)   # the earliest restart wins ties

@@ -494,17 +494,14 @@ class _Dcsrch:
         return stp
 
 
-def _cubic(fa, fb, dt, da, db, flip, clip=False):
-    """theta and gamma of dcstep's cubic through two steps dt apart, with
-    values fa, fb and slopes da, db: theta = 3 (fa - fb) / dt + da + db and
-    gamma = +-sqrt(theta^2 - da db), negated when flip, scaled by
-    s = max(|theta|, |da|, |db|) against overflow.  A negative radicand
-    gives NaN, or 0 when clip."""
+def _cubic(fa, fb, dt, da, db):
+    """theta, s and r of dcstep's cubic through two steps dt apart, with
+    values fa, fb and slopes da, db: theta = 3 (fa - fb) / dt + da + db,
+    and gamma = +-s sqrt(r) with the radicand theta^2 - da db scaled to r
+    by s = max(|theta|, |da|, |db|) against overflow."""
     theta = 3.0 * (fa - fb) / dt + da + db
     s = max(abs(theta), abs(da), abs(db))
-    r = (theta / s) ** 2 - (da / s) * (db / s)
-    gamma = s * (math.sqrt(max(0.0, r)) if clip else _sqrt(r))
-    return theta, -gamma if flip else gamma
+    return theta, s, (theta / s) ** 2 - (da / s) * (db / s)
 
 
 def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
@@ -514,7 +511,8 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     opposite = (dp < 0.0 < dx) or (dx < 0.0 < dp)
     if fp > fx:
         # a higher function value: the minimum is bracketed
-        theta, gamma = _cubic(fx, fp, stp - stx, dx, dp, stp < stx)
+        theta, s, r = _cubic(fx, fp, stp - stx, dx, dp)
+        gamma = (-s if stp < stx else s) * _sqrt(r)
         p = (gamma - dx) + theta
         q = ((gamma - dx) + gamma) + dp
         stpc = stx + _div(p, q) * (stp - stx)
@@ -523,7 +521,8 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
         brackt = True
     elif opposite:
         # a lower value and derivatives of opposite sign: bracketed
-        theta, gamma = _cubic(fx, fp, stp - stx, dx, dp, stp > stx)
+        theta, s, r = _cubic(fx, fp, stp - stx, dx, dp)
+        gamma = (-s if stp > stx else s) * _sqrt(r)
         p = (gamma - dp) + theta
         q = ((gamma - dp) + gamma) + dx
         stpc = stp + _div(p, q) * (stx - stp)
@@ -532,7 +531,8 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
         brackt = True
     elif abs(dp) < abs(dx):
         # a lower value, same-sign derivatives, and the slope decreases
-        theta, gamma = _cubic(fx, fp, stp - stx, dx, dp, stp > stx, clip=True)
+        theta, s, r = _cubic(fx, fp, stp - stx, dx, dp)
+        gamma = (-s if stp > stx else s) * math.sqrt(max(0.0, r))   # 0 where no real root
         p = (gamma - dp) + theta
         q = (gamma + (dx - dp)) + gamma
         r = _div(p, q)
@@ -554,7 +554,8 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
             stpf = max(stpmin, min(stpmax, stpf))
     elif brackt:
         # a lower value, same-sign derivatives, the slope does not decrease
-        theta, gamma = _cubic(fp, fy, sty - stp, dy, dp, stp > sty)
+        theta, s, r = _cubic(fp, fy, sty - stp, dy, dp)
+        gamma = (-s if stp > sty else s) * _sqrt(r)
         p = (gamma - dp) + theta
         q = ((gamma - dp) + gamma) + dy
         stpf = stp + _div(p, q) * (sty - stp)

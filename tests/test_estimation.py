@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from collections import Counter
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -693,13 +694,37 @@ class TestFit:
         lo, hi = np.log(cfg.box).T.tolist()
         scale = estimation._STATIONARITY_SCALE
         for r1, r2 in restarts:
-            # L-BFGS-B's own projected-gradient norm, at a finite value and gradient
+            # L-BFGS-B's own projected-gradient norm of the gradient over
+            # max(1, |f|), at a finite value and gradient
             _, gu = obj.value_grad(r1.x)
-            pg = _projgr(r1.x.tolist(), gu.tolist(), lo, hi)
-            stationary = _tenable(r1.fun, gu.tolist()) and pg <= scale * max(1.0, abs(r1.fun))
+            s = max(1.0, abs(r1.fun))
+            pg = _projgr(r1.x.tolist(), [gi / s for gi in gu.tolist()], lo, hi)
+            stationary = _tenable(r1.fun, gu.tolist()) and pg <= scale
             assert (r2 is not None) == (not stationary)
         # some restarts need the retry and some do not
         assert 0 < sum(r2 is not None for _, r2 in restarts) < cfg.n_restarts
+
+    def test_only_a_point_at_its_bound_ignores_an_outward_gradient(self):
+        # at n = 20000, |-L| is near 6e4: 1e-4 * |-L| is wider than d's log
+        # interval, so a distance to the bound must not stand in for the gradient
+        lo, hi = np.log(FitConfig().box).T.tolist()
+        x = [(l + h) / 2 for l, h in zip(lo, hi)]
+
+        def stationary(d_gap, g_d):
+            x[3] = hi[3] - d_gap
+            r = SimpleNamespace(x=np.array(x), fun=6e4, jac=np.array([0.0, 0.0, 0.0, g_d]))
+            return estimation._stationarity(r, lo, hi)[1]
+
+        # -L still falls toward d's upper bound, 3 log units away
+        assert not stationary(3.0, -100.0)
+        assert not stationary(1e-3, -100.0)
+        # at the bound, or within 1e-4 of it, the outward gradient is inert
+        assert stationary(0.0, -100.0)
+        assert stationary(1e-5, -100.0)
+        # a gradient that points into the box is tested at the bound too
+        assert not stationary(0.0, 100.0)
+        # and a small one passes anywhere
+        assert stationary(3.0, -1.0)
 
     def test_retry_rescues_a_stalled_single_restart(self):
         # without the retry this fit ends non-converged at -L = 312.366
