@@ -98,13 +98,13 @@ def build_curve_grid(p: EgwgParams, lo: float, hi: float, count: int,
 
 def _add_param_flags(sp, prefix: str = "", required: bool = True):
     pre = f"--{prefix}" if prefix else "--"
-    for name in ("a", "b", "c", "d", "theta"):
+    for name in dist._PARAM_NAMES:
         sp.add_argument(f"{pre}{name}", type=float, required=required,
                         help=f"parameter {name}" + (f" of the {prefix.rstrip('-')} law" if prefix else ""))
 
 
 def _params_from(args) -> EgwgParams:
-    return EgwgParams(a=args.a, b=args.b, c=args.c, d=args.d, theta=args.theta)
+    return EgwgParams(*(getattr(args, k) for k in dist._PARAM_NAMES))
 
 
 def _emit(text: str, out_path: str | None):
@@ -214,7 +214,7 @@ def _cmd_reliability(args) -> int:
     from . import reliability
 
     failure = _params_from(args)
-    repair_flags = [getattr(args, f"repair_{k}") for k in ("a", "b", "c", "d", "theta")]
+    repair_flags = [getattr(args, f"repair_{k}") for k in dist._PARAM_NAMES]
     has_repair = any(v is not None for v in repair_flags)
     if has_repair and any(v is None for v in repair_flags):
         raise DomainError("give all five repair parameters or none")
@@ -230,7 +230,7 @@ def _cmd_reliability(args) -> int:
     if ts:
         out["t"] = ts
         if has_repair:
-            out["maintainability"] = [float(reliability.maintainability(repair, t)) for t in ts]
+            out["maintainability"] = reliability.maintainability(repair, np.array(ts)).tolist()
         out["mrl"] = [reliability.mean_residual_life(failure, t) for t in ts]
         # mean past life is undefined at t = 0; emit null there
         out["mpl"] = [None if t == 0.0 else reliability.mean_past_life(failure, t)

@@ -11,7 +11,7 @@ points and are pure functions of their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -75,10 +75,12 @@ class EgwgParams:
     @classmethod
     def from_dict(cls, d: dict) -> "EgwgParams":
         try:
-            return cls(a=float(d["a"]), b=float(d["b"]), c=float(d["c"]),
-                       d=float(d["d"]), theta=float(d["theta"]))
+            return cls(**{k: float(d[k]) for k in _PARAM_NAMES})
         except KeyError as exc:
             raise InvalidParametersError(f"missing parameter field {exc}") from exc
+
+
+_PARAM_NAMES = tuple(f.name for f in fields(EgwgParams))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +259,7 @@ def _as_x_array(x, *, allow_zero: bool) -> tuple[np.ndarray, bool]:
     bad = arr < 0.0 if allow_zero else arr <= 0.0
     if np.any(bad):
         side = "x >= 0" if allow_zero else "x > 0"
-        raise DomainError(f"evaluation requires {side}, got {arr[bad][0]!r}")
+        raise DomainError(f"evaluation requires {side}, got {float(arr[bad][0])!r}")
     return arr, scalar
 
 

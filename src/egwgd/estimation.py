@@ -18,12 +18,13 @@ here (loglik, loglik_grad, profile_theta) run the same code with fresh
 arrays, and the curvature step runs loglik's in a workspace of its own.
 fit frees the objective's workspace once its L-BFGS-B runs are done.
 
-The fit's restarts run in lock-step, and each round the objective
-evaluates the point of every unfinished run as one row of a single kernel
-pass.  One pass serves one row and k rows alike: k > 1 laws go to the
-kernel as parameter columns over (k, n) arrays (distribution's _Laws), one
-law as floats over 1-D arrays, and each row comes out bit for bit as that
-law alone gives it.  At the small n of typical lifetime data an
+The fit's restarts, each a generator that owns its retry, run in
+lock-step (``optimize._lockstep``): each round the objective evaluates the
+point of every unfinished restart as one row of a single kernel pass.  One
+pass serves one row and k rows alike: k > 1 laws go to the kernel as
+parameter columns over (k, n) arrays (distribution's _Laws), one law as
+floats over 1-D arrays, and each row comes out bit for bit as that law
+alone gives it.  At the small n of typical lifetime data an
 evaluation's cost is numpy's per-call overhead, which the rows then share;
 each run still makes exactly the iterations it would make alone.
 
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -60,7 +61,7 @@ from .exceptions import (
     StencilError,
 )
 from .numerics import numerical_hessian
-from .optimize import _lbfgsb, _projgr, _tenable, brentq
+from .optimize import _lbfgsb, _lockstep, _projgr, _tenable, brentq
 from .optimize import minimize  # noqa: F401  (perfbench's tracer wraps this name)
 
 __all__ = [
@@ -75,7 +76,7 @@ __all__ = [
     "confidence_intervals",
 ]
 
-PARAM_ORDER = ("a", "b", "c", "d", "theta")
+PARAM_ORDER = dist._PARAM_NAMES
 
 _log = logging.getLogger(__name__)
 # library logging, silent unless the application configures a handler; set
@@ -310,9 +311,10 @@ class _Objective:
     or +inf where theta cannot be profiled or the likelihood is -inf; the
     gradient there is whatever the arithmetic gives, and L-BFGS-B backs off
     from any point whose value or gradient is not finite.
-    value_grad takes one point or a (k, 4) block of points, whose rows are
-    evaluated together, max(1, _PASS_POINTS // n) rows per kernel pass, and
-    come out bit for bit as each point alone would (see dist._Laws).  One
+    value_grad takes one point or a (k, 4) block of points, such as a round
+    of ``optimize._lockstep``, whose rows are evaluated together, max(1,
+    _PASS_POINTS // n) rows per kernel pass, and come out bit for bit as
+    each point alone would (see dist._Laws).  One
     point is a block of one row, and a pass of one row takes the law as
     floats over 1-D arrays, whose numpy calls cost least.  Every pass writes
     into one workspace over the data (log x, computed once, and the
@@ -324,7 +326,6 @@ class _Objective:
         self.data = data
         self.ws = dist._Workspace(data.values)
         self.pass_rows = max(1, _PASS_POINTS // data.n)
-        self.n_evals = 0
 
     def value_grad(self, u: np.ndarray):
         """(f, df/du) at the point u; at a (k, 4) block, f of shape (k,) and df/du (k, 4)."""
@@ -343,7 +344,6 @@ class _Objective:
         from one dist._inner pass over the data (plus one over the single clamp
         point of each row that log f's theta < 1 clamp acts on): one row's law
         as floats over 1-D arrays, k > 1 laws as dist._Laws columns."""
-        self.n_evals += len(u)
         ws = self.ws
         ws.rows(len(u))
         x = ws.x
@@ -432,11 +432,10 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     log-likelihood is the objective's value at the chosen terminus, which
     is -loglik there bit for bit.
 
-    The runs go in lock-step: each round, the point that every unfinished
-    run asks for is a row of one objective block (see _Objective), and a
-    retry joins the round after its first run ends.  Each run follows the
-    path it would follow alone, evaluation for evaluation; only the
-    per-call overhead is shared.
+    ``optimize._lockstep`` drives the restarts, generators that each own
+    their retry: each round, the point of every unfinished restart is a row
+    of one objective block (see _Objective).  Each run follows the path it
+    would follow alone, evaluation for evaluation; ``n_evals`` sums their ``nfev``.
 
     One DEBUG record per restart goes to the ``egwgd.estimation`` logger:
     the L-BFGS-B evaluation count and message, the endpoint's largest
@@ -446,32 +445,18 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     cfg = config or FitConfig()
     if data.n < 5:
         raise DomainError("the five-parameter fit needs n >= 5")
-    x = data.values
     obj = _Objective(data)
     lb, ub = np.log(cfg.box).T.tolist()
+    options = dict(maxiter=_LBFGSB_MAX_ITER, ftol=1e-14, gtol=1e-12)
 
-    runs = []      # per restart: its runs' results, the first run's and the retry's if it ran
-    active = []    # (restart index, run, the point it asks for)
+    def restart(u0):   # the first run clips u0 into the box
+        first = yield from _lbfgsb(u0, lb, ub, **options)
+        if _stationarity(first, lb, ub)[1]:
+            return [first]
+        return [first, (yield from _lbfgsb(first.x, lb, ub, **options))]
 
-    def start(k, u0):
-        run = _lbfgsb(u0, lb, ub, maxiter=_LBFGSB_MAX_ITER, ftol=1e-14, gtol=1e-12)
-        active.append((k, run, next(run)))
-
-    for k, anchor in enumerate(_anchors(x, cfg.n_restarts)):
-        runs.append([])
-        start(k, np.log(anchor))   # the run clips its start into the box
-    while active:
-        f, g = obj.value_grad(np.array([u for _, _, u in active]))
-        asking, active = active, []
-        for (k, run, _), fk, gk in zip(asking, f, g):
-            try:
-                active.append((k, run, run.send((fk, gk))))
-            except StopIteration as done:
-                runs[k].append(done.value)
-                if len(runs[k]) == 1 and not _stationarity(done.value, lb, ub)[1]:
-                    # one fresh L-BFGS-B run from the endpoint, with no curvature memory
-                    start(k, done.value.x)
-    n_evals = obj.n_evals
+    anchors = _anchors(data.values, cfg.n_restarts)
+    runs = _lockstep([restart(np.log(a)) for a in anchors], obj.value_grad)
     del obj   # frees the objective's workspace before the curvature
 
     termini = []   # per restart: (its best run's result, whether that is stationary)
@@ -511,7 +496,7 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
 
     result = FitResult(params=params, loglik=ll, covariance=cov, intervals=None,
                        level=cfg.ci_level, converged=converged,
-                       n_evals=n_evals, restarts_used=len(termini))
+                       n_evals=sum(r.nfev for rs in runs for r in rs), restarts_used=len(termini))
     try:
         result.intervals = confidence_intervals(result, cfg.ci_level)
         result.below_zero = tuple(
@@ -527,9 +512,9 @@ def observed_information(p: EgwgParams, data: Dataset) -> np.ndarray:
     The stencil's log-likelihoods are evaluated in one workspace over the
     data, each one loglik at its point bit for bit.
     """
-    if min(p.a, p.b, p.c, p.d, p.theta) <= 0.0:
+    point = np.array([getattr(p, k) for k in PARAM_ORDER])
+    if point.min() <= 0.0:
         raise InvalidParametersError("observed information requires a strictly interior point")
-    point = np.array([p.a, p.b, p.c, p.d, p.theta])
     ws = dist._Workspace(data.values)
 
     def L(v):
@@ -549,10 +534,8 @@ def confidence_intervals(fit_result: FitResult, level: float | None = None) -> d
         raise DomainError(f"confidence level must be in (0, 1), got {level}")
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     diag = np.diag(np.asarray(fit_result.covariance, dtype=float))
-    est = [fit_result.params.a, fit_result.params.b, fit_result.params.c,
-           fit_result.params.d, fit_result.params.theta]
     out = {}
-    for name, m, v in zip(PARAM_ORDER, est, diag):
+    for name, m, v in zip(PARAM_ORDER, astuple(fit_result.params), diag):
         if not math.isfinite(v) or v < 0.0:
             raise DegenerateInformationError("negative or non-finite variance", name)
         half = z * math.sqrt(v)

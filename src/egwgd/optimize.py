@@ -24,10 +24,11 @@ Copyright (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy Developers)
 and MINPACK-2 (Argonne National Laboratory, More & Thuente).
 
 An L-BFGS-B run is a generator (``_lbfgsb``): it yields each point it
-needs evaluated and is sent the objective's value and gradient there, so
-the caller decides how points are evaluated.  ``minimize`` drives one run
-with a function; ``estimation.fit`` drives its restarts in lock-step and
-evaluates their points together.
+needs evaluated and is sent the objective's value and gradient there.  One
+driver, ``_lockstep``, runs any number of such generators: each round, the
+points they ask for are the rows of one block, evaluated together.
+``minimize`` is a pool of one run; ``estimation.fit`` pools its restarts,
+each a generator that owns its retry.
 
 Nothing here is public API: ``estimation`` and ``submodels`` import it,
 and ``numerics.find_root_increasing`` and ``distribution.mode`` import
@@ -50,7 +51,7 @@ _EPS = float(np.finfo(float).eps)
 # ---------------------------------------------------------------------------
 
 def minimize(fun, x0, bounds, options=None):
-    """Minimise ``fun`` over a box with L-BFGS-B: one run of ``_lbfgsb``, driven.
+    """Minimise ``fun`` over a box with L-BFGS-B: ``_lockstep`` on one ``_lbfgsb`` run.
 
     ``fun(x)`` returns ``(f, gradient)``; a point where either is not
     finite is untenable, and the line search backs off from it.
@@ -68,21 +69,35 @@ def minimize(fun, x0, bounds, options=None):
     if len(lo) != len(x0) or not all(-math.inf < l < h < math.inf for l, h in zip(lo, hi)):
         raise ValueError("bounds must be one finite (lo, hi) pair with lo < hi per variable")
     run = _lbfgsb(x0, lo, hi, **(options or {}))
-    x = next(run)
-    while True:
-        try:
-            x = run.send(fun(x))
-        except StopIteration as done:
-            return done.value
+    return _lockstep([run], lambda block: zip(*map(fun, block)))[0]   # (values, gradients)
+
+
+def _lockstep(runs, evaluate):
+    """Drive runs, generators that each yield at least one point, in lock-step.
+
+    Each round, the unfinished runs' points are the rows of one block, in run
+    order; ``evaluate(block)`` returns their values and gradients, and each
+    run is sent its row's ``(f, gradient)``.  Returns the results in run order.
+    """
+    results = [None] * len(runs)
+    active = [(k, run, next(run)) for k, run in enumerate(runs)]   # (index, run, its point)
+    while active:
+        f, g = evaluate(np.array([u for _, _, u in active]))
+        asking, active = active, []
+        for (k, run, _), fk, gk in zip(asking, f, g):
+            try:
+                active.append((k, run, run.send((fk, gk))))
+            except StopIteration as done:
+                results[k] = done.value
+    return results
 
 
 def _lbfgsb(x0, lo, hi, maxiter=15000, ftol=2.220446049250313e-09, gtol=1e-5):
     """One L-BFGS-B run as a generator (see minimize for the arguments).
 
     It yields each point it needs evaluated, as an array, and is sent back
-    ``(f, gradient)`` there; it returns minimize's namespace.  Whoever
-    drives it decides how the points are evaluated: ``estimation.fit``
-    evaluates the points of all its runs together.
+    ``(f, gradient)`` there; it returns minimize's namespace.  ``_lockstep``
+    drives it, alone or beside other runs.
     """
     n = len(lo)
     maxfun, maxls = 15000, 20

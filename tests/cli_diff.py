@@ -7,11 +7,12 @@ with GED, GD, GIW and EGIW on a sample of ten 3s, where each search ends at
 its interval's edge, and a ``compare`` of ED, GED and GD there; then
 ``sample``, ``curves --mrl``, ``reliability`` (with a repair law) and
 ``eval`` on a bathtub, an increasing and a decreasing hazard, and ``eval``
-at each law's 1e-6, 1e-4 and 1e-2 quantiles, its left tail; and three
-commands that fail (an unknown model to ``fit`` and to ``compare``, and
-``sample --n 0``), so their exit statuses are compared too.  These laws
-restate the benchmark's own, and every input is made here with numpy
-alone, so neither tree's package shapes what the other is given.
+at each law's 1e-6, 1e-4 and 1e-2 quantiles, its left tail; and four
+commands that fail (an unknown model to ``fit`` and to ``compare``,
+``sample --n 0`` and ``eval`` at a negative point), so their exit statuses
+are compared too.  These laws restate the benchmark's own, and every input
+is made here with numpy alone, so neither tree's package shapes what the
+other is given.
 
 Each command runs as ``python -m egwgd.cli`` with OPENBLAS_NUM_THREADS=1,
 once with the package from --parent and once from this tree's ``src``.
@@ -101,6 +102,7 @@ def commands(midpoint_file: str, constant_file: str) -> list:
         ("compare aarset ed,cauchy (error)",
          ["compare", "--data", "aarset", "--models", "ed,cauchy"]),
         ("sample --n 0 (error)", ["sample", *_flags(LAWS["bathtub"]), "--n", "0", "--seed", "7"]),
+        ("eval bathtub --x 0,-1 (error)", ["eval", *_flags(LAWS["bathtub"]), "--x", "0,-1"]),
     ]
     return cmds
 

@@ -356,6 +356,11 @@ class TestEvalCommand:
             assert_allclose(row["pdf"], pdf(PRINTED_MLE, x), rtol=1e-15)
             assert_allclose(row["hazard"], hazard(PRINTED_MLE, x), rtol=1e-15)
 
+    def test_a_negative_point_is_named_as_a_float(self, capsys):
+        code, out, err = run(capsys, "eval", *GOMPERTZ_FLAGS, "--x", "0,-1")
+        assert code == 1 and out == ""
+        assert err == "error: evaluation requires x >= 0, got -1.0\n"
+
 
 class TestExitCodes:
     def test_no_arguments_is_usage(self, capsys):

@@ -15,7 +15,7 @@ from egwgd import AARSET, Dataset, FitConfig, fit, sample
 from egwgd import distribution as dist
 from egwgd import estimation, submodels
 from egwgd.numerics import find_root_increasing
-from egwgd.optimize import _Dcsrch, brentq, minimize, minimize_scalar_bounded
+from egwgd.optimize import _Dcsrch, _lbfgsb, _lockstep, brentq, minimize, minimize_scalar_bounded
 from conftest import random_params
 
 # Aarset and three samples of laws drawn as the property tests draw them
@@ -227,6 +227,59 @@ class TestLbfgsb:
         ref = sp.minimize(f, x0, jac=True, method="L-BFGS-B", bounds=bounds, options=TIGHT)
         assert abs(ours.fun - ref.fun) <= 1e-12 * max(1.0, abs(ref.fun))
         assert np.allclose(ours.x, ref.x, rtol=0.0, atol=1e-6)
+
+
+def _asks(points):
+    """A toy run: it asks for each point in turn and returns what it was sent."""
+    got = []
+    for p in points:
+        f, g = yield np.array(p, dtype=float)
+        got.append((float(f), np.asarray(g).tolist()))
+    return got
+
+
+def _double(block):
+    """The toy objective: f is the row's sum and the gradient twice the row."""
+    return block.sum(axis=1), 2.0 * block
+
+
+class TestLockstep:
+    def test_each_block_holds_the_unfinished_runs_points_in_run_order(self):
+        blocks = []
+
+        def evaluate(block):
+            blocks.append(block.tolist())
+            return _double(block)
+
+        runs = [_asks([[1.0], [2.0]]), _asks([[10.0]]), _asks([[100.0], [200.0], [300.0]])]
+        _lockstep(runs, evaluate)
+        assert blocks == [[[1.0], [10.0], [100.0]], [[2.0], [200.0]], [[300.0]]]
+
+    def test_results_come_back_in_input_order(self):
+        # the runs finish third, first, second; each is sent its own rows
+        runs = [_asks([[3.0], [4.0], [5.0]]), _asks([[6.0]]), _asks([[7.0], [8.0]])]
+        assert _lockstep(runs, _double) == [
+            [(3.0, [6.0]), (4.0, [8.0]), (5.0, [10.0])],
+            [(6.0, [12.0])],
+            [(7.0, [14.0]), (8.0, [16.0])],
+        ]
+
+    def test_a_run_that_returns_after_its_first_point(self):
+        assert _lockstep([_asks([[1.5, 2.0]])], _double) == [[(3.5, [3.0, 4.0])]]
+
+    def test_minimize_is_a_pool_of_one(self):
+        x0, bounds = np.array([-1.2, 1.0, -0.5, 0.3]), [(-2.0, 2.0)] * 4
+        ours = minimize(rosenbrock, x0, bounds, TIGHT)
+        lo, hi = map(list, zip(*bounds))
+
+        def evaluate(block):
+            rows = [rosenbrock(u) for u in block]
+            return [f for f, _ in rows], [g for _, g in rows]
+
+        [alone] = _lockstep([_lbfgsb(x0, lo, hi, **TIGHT)], evaluate)
+        np.testing.assert_array_equal(ours.x, alone.x)
+        assert (ours.fun, ours.nfev, ours.nit, ours.message) == (
+            alone.fun, alone.nfev, alone.nit, alone.message)
 
 
 def finite(value_grad):
