@@ -125,7 +125,7 @@ def _float_list(text: str) -> list:
 # model fitting shared by fit/compare
 # ---------------------------------------------------------------------------
 
-def _fit_model(name: str, values: np.ndarray, restarts: int, level: float):
+def _fit_model(name: str, values: np.ndarray, restarts: int, level: float = 0.95):
     """Fit one named model; returns (canonical name, FitResult or CompetitorSpec)."""
     from . import submodels
 
@@ -177,7 +177,7 @@ def _cmd_compare(args) -> int:
         raise DomainError("empty model list")
     fitted, unconverged = [], []
     for name in names:
-        name, res = _fit_model(name, values, args.restarts, args.level)
+        name, res = _fit_model(name, values, args.restarts)
         if not res.converged:
             unconverged.append(name)
         if name == "egwgd":
@@ -274,7 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--data", required=True)
     p_cmp.add_argument("--models", required=True, help="comma-separated model names")
     p_cmp.add_argument("--restarts", type=int, default=8)
-    p_cmp.add_argument("--level", type=float, default=0.95)
     p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(func=_cmd_compare)
 

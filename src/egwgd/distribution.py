@@ -221,32 +221,32 @@ def _inner(a: float, b: float, c: float, d: float, x: np.ndarray, ws=None) -> _K
     wherever it is representable, as does log(1 - e^{-z}).
     With a _Workspace ws over x, log x is ws's and every column is one of its arrays.
     a, b, c and d may be (k, 1) columns of k laws (see _Laws); ws's arrays are then (k, n).
+    It opens no np.errstate: its callers ignore at least "over" and "divide".
     """
-    with np.errstate(over="ignore", divide="ignore"):
-        lnx = np.log(x) if ws is None else ws.lnx
-        s = np.multiply(d, lnx, out=_scratch(ws, "s", x))
-        np.exp(s, out=s)
-        ncs = np.multiply(-c, s, out=_scratch(ws, "ncs", x))
-        em = np.expm1(ncs, out=_scratch(ws, "em", x))
-        logz = np.negative(em, out=_scratch(ws, "logz", x))
-        np.log(logz, out=logz)
-        np.subtract(logz, ncs, out=logz)
-        blnx = np.multiply(b, lnx, out=_scratch(ws, "t", x))
-        np.add(logz, blnx, out=logz)
-        under = np.equal(ncs, 0.0, out=_scratch(ws, "under", x, bool))
-        if under.any():
-            np.multiply(d, lnx, out=logz, where=under)
-            np.add(_log(c), logz, out=logz, where=under)
-            np.add(blnx, logz, out=logz, where=under)
-        else:
-            under = None
-        np.add(_log(a), logz, out=logz)
-        z = np.exp(logz, out=_scratch(ws, "z", x))
-        lnP = _log1mexp(z, ws)
-        # below z = 1.1e-16, log(1 - e^{-z}) is log z, which stays finite where z underflows
-        tiny = np.less(logz, -36.7, out=_scratch(ws, "mask", x, bool))
-        if tiny.any():
-            np.copyto(lnP, logz, where=tiny)
+    lnx = np.log(x) if ws is None else ws.lnx
+    s = np.multiply(d, lnx, out=_scratch(ws, "s", x))
+    np.exp(s, out=s)
+    ncs = np.multiply(-c, s, out=_scratch(ws, "ncs", x))
+    em = np.expm1(ncs, out=_scratch(ws, "em", x))
+    logz = np.negative(em, out=_scratch(ws, "logz", x))
+    np.log(logz, out=logz)
+    np.subtract(logz, ncs, out=logz)
+    blnx = np.multiply(b, lnx, out=_scratch(ws, "t", x))
+    np.add(logz, blnx, out=logz)
+    under = np.equal(ncs, 0.0, out=_scratch(ws, "under", x, bool))
+    if under.any():
+        np.multiply(d, lnx, out=logz, where=under)
+        np.add(_log(c), logz, out=logz, where=under)
+        np.add(blnx, logz, out=logz, where=under)
+    else:
+        under = None
+    np.add(_log(a), logz, out=logz)
+    z = np.exp(logz, out=_scratch(ws, "z", x))
+    lnP = _log1mexp(z, ws)
+    # below z = 1.1e-16, log(1 - e^{-z}) is log z, which stays finite where z underflows
+    tiny = np.less(logz, -36.7, out=_scratch(ws, "mask", x, bool))
+    if tiny.any():
+        np.copyto(lnP, logz, where=tiny)
     return _Kernel(lnx, s, ncs, em, logz, z, lnP, under)
 
 
@@ -276,7 +276,9 @@ def _log_F(p: EgwgParams, x) -> tuple[np.ndarray, bool]:
     xs, scalar = _as_x_array(x, allow_zero=True)
     out = np.full(xs.shape, -np.inf)
     pos = xs > 0.0
-    out[pos] = p.theta * _inner(p.a, p.b, p.c, p.d, xs[pos]).lnP
+    with np.errstate(over="ignore", divide="ignore"):
+        k = _inner(p.a, p.b, p.c, p.d, xs[pos])
+    out[pos] = p.theta * k.lnP
     return out, scalar
 
 
@@ -348,20 +350,19 @@ def _log_f_terms(p, k: _Kernel, ws, out: np.ndarray) -> np.ndarray:
     a x^{b-1} e^{c s} = z / (x (1 - e^{-c s})), so
     log f = log theta + log z - log x - z + log v + (theta - 1) log(1 - e^{-z})
     with v = w / (1 - e^{-c s}) = b + d c s / (1 - e^{-c s}), which is b + d
-    where c s underflows.
+    where c s underflows.  Its callers ignore "over", "divide" and "invalid".
     """
     lnx, _, ncs, em, logz, z, l1mez, under = k
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        logv = np.divide(ncs, em, out=_scratch(ws, "logv", out))
-        np.add(np.multiply(p.d, logv, out=logv), p.b, out=logv)
-        if under is not None:
-            np.copyto(logv, p.b + p.d, where=under)
-        np.log(logv, out=logv)
-        np.add(logz, _log(p.theta), out=out)
-        np.subtract(out, lnx, out=out)
-        np.subtract(out, z, out=out)
-        np.add(out, logv, out=out)
-        np.add(out, np.multiply(p.theta - 1.0, l1mez, out=_scratch(ws, "t", out)), out=out)
+    logv = np.divide(ncs, em, out=_scratch(ws, "logv", out))
+    np.add(np.multiply(p.d, logv, out=logv), p.b, out=logv)
+    if under is not None:
+        np.copyto(logv, p.b + p.d, where=under)
+    np.log(logv, out=logv)
+    np.add(logz, _log(p.theta), out=out)
+    np.subtract(out, lnx, out=out)
+    np.subtract(out, z, out=out)
+    np.add(out, logv, out=out)
+    np.add(out, np.multiply(p.theta - 1.0, l1mez, out=_scratch(ws, "t", out)), out=out)
     # deep right tail: log z - z -> -inf, not inf - inf
     nan = np.isnan(out, out=_scratch(ws, "mask", out, bool))
     if nan.any():
@@ -372,7 +373,8 @@ def _log_f_terms(p, k: _Kernel, ws, out: np.ndarray) -> np.ndarray:
 def _log_density(p: EgwgParams, x) -> tuple[np.ndarray, np.ndarray, bool]:
     """(log f(x), unclamped log F(x), scalar flag) for x > 0, from one kernel pass (see _log_f)."""
     xs, scalar = _as_x_array(x, allow_zero=False)
-    return *_log_f(p, xs, _inner(p.a, p.b, p.c, p.d, xs)), scalar
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return *_log_f(p, xs, _inner(p.a, p.b, p.c, p.d, xs)), scalar
 
 
 def log_pdf(p: EgwgParams, x):

@@ -195,7 +195,8 @@ def loglik_grad(p: EgwgParams, data: Dataset) -> np.ndarray:
     if p.b <= 0.0:
         raise InvalidParametersError("gradient requires b > 0")
     x = data.values
-    return _grad(p, x, dist._inner(p.a, p.b, p.c, p.d, x))
+    with np.errstate(all="ignore"):
+        return _grad(p, x, dist._inner(p.a, p.b, p.c, p.d, x))
 
 
 def _grad(p, x: np.ndarray, k: dist._Kernel, ws=None) -> np.ndarray:
@@ -219,6 +220,7 @@ def _grad(p, x: np.ndarray, k: dist._Kernel, ws=None) -> np.ndarray:
     its row sums equal its one-row sum for rows of up to 8192 points, and a
     block's rows hold at most _PASS_POINTS // 2), and the assembly below is
     plain arithmetic, which rounds the same on numpy's arrays as on floats.
+    It opens no np.errstate: its callers ignore every floating-point error.
     """
     n = x.size
     a, b, c, d, th = p.a, p.b, p.c, p.d, p.theta
@@ -237,30 +239,29 @@ def _grad(p, x: np.ndarray, k: dist._Kernel, ws=None) -> np.ndarray:
         """The sum of terms * log x, one per row."""
         return np.einsum("ij,j->i", terms, lnx)[:, None] if rows else np.einsum("i,i", terms, lnx)
 
-    with np.errstate(all="ignore"):
-        # z / (e^z - 1) = e^{log z - log(e^z - 1)}, and log(e^z - 1) = log(1 - e^{-z}) + z
-        np.subtract(logz, np.add(lnP, z, out=V), out=V)
-        np.multiply(th - 1.0, np.exp(V, out=V), out=V)
-        np.subtract(V, z, out=V)
-        # W = (c d / b) s - em, with no cancellation; where c s underflows,
-        # W = c s (b + d) / b to within a factor 1 + c s
-        u = np.multiply(c * d / b, s, out=t)
-        np.divide(s, np.subtract(u, em, out=y), out=y)
-        if under is not None:
-            np.copyto(y, b / (c * (b + d)), where=under)
-        # s / (1 - e^{-c s}) = -s / em, which tends to 1 / c where c s underflows
-        np.multiply(y, np.add(u, 1.0 + d / b, out=t), out=t)
-        np.divide(np.multiply(s, V, out=M), em, out=M)
-        if under is not None:
-            np.divide(V, -c, out=M, where=under)
-        np.subtract(t, M, out=M)
-        S_y = total(y)
-        lnx_sum = lnx.sum() if ws is None else ws.lnx_sum
-        da = (n + total(V)) / a
-        db = n / b + lnx_sum + total_lnx(V) - c * d / b / b * S_y
-        dc = total(M)
-        dd = c * total_lnx(M) + c / b * S_y
-        dth = n / th + total(lnP)
+    # z / (e^z - 1) = e^{log z - log(e^z - 1)}, and log(e^z - 1) = log(1 - e^{-z}) + z
+    np.subtract(logz, np.add(lnP, z, out=V), out=V)
+    np.multiply(th - 1.0, np.exp(V, out=V), out=V)
+    np.subtract(V, z, out=V)
+    # W = (c d / b) s - em, with no cancellation; where c s underflows,
+    # W = c s (b + d) / b to within a factor 1 + c s
+    u = np.multiply(c * d / b, s, out=t)
+    np.divide(s, np.subtract(u, em, out=y), out=y)
+    if under is not None:
+        np.copyto(y, b / (c * (b + d)), where=under)
+    # s / (1 - e^{-c s}) = -s / em, which tends to 1 / c where c s underflows
+    np.multiply(y, np.add(u, 1.0 + d / b, out=t), out=t)
+    np.divide(np.multiply(s, V, out=M), em, out=M)
+    if under is not None:
+        np.divide(V, -c, out=M, where=under)
+    np.subtract(t, M, out=M)
+    S_y = total(y)
+    lnx_sum = lnx.sum() if ws is None else ws.lnx_sum
+    da = (n + total(V)) / a
+    db = n / b + lnx_sum + total_lnx(V) - c * d / b / b * S_y
+    dc = total(M)
+    dd = c * total_lnx(M) + c / b * S_y
+    dth = n / th + total(lnP)
     return np.hstack([da, db, dc, dd, dth]) if rows else np.array([da, db, dc, dd, dth])
 
 
@@ -290,7 +291,6 @@ def _theta_hat(n: int, ssum) -> float:
 # ---------------------------------------------------------------------------
 
 _STATIONARITY_SCALE = 1e-4   # converged: max |projected grad / max(1, |L|)| <= scale
-_LBFGSB_MAX_ITER = 500       # caps each L-BFGS-B run: the first and the retry
 _PASS_POINTS = 2 ** 14       # a kernel pass holds at most max(1, this // n) rows of n points
 
 
@@ -417,7 +417,8 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     """Multistart maximum-likelihood fit with theta profiled out.
 
     Each restart runs gradient-based L-BFGS-B (``optimize._lbfgsb``, the
-    package's port of scipy's), capped at ``_LBFGSB_MAX_ITER`` iterations.
+    package's port of scipy's), capped at ``optimize._LBFGSB_MAX_ITER``
+    iterations, with the stop tests of ``optimize``'s other constants.
     A terminus counts as converged when its value and gradient are finite
     and L-BFGS-B's own projected-gradient norm (``optimize._projgr``) of the
     gradient divided by ``max(1, |f|)`` is at most ``_STATIONARITY_SCALE``
@@ -447,13 +448,12 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
         raise DomainError("the five-parameter fit needs n >= 5")
     obj = _Objective(data)
     lb, ub = np.log(cfg.box).T.tolist()
-    options = dict(maxiter=_LBFGSB_MAX_ITER, ftol=1e-14, gtol=1e-12)
 
     def restart(u0):   # the first run clips u0 into the box
-        first = yield from _lbfgsb(u0, lb, ub, **options)
+        first = yield from _lbfgsb(u0, lb, ub)
         if _stationarity(first, lb, ub)[1]:
             return [first]
-        return [first, (yield from _lbfgsb(first.x, lb, ub, **options))]
+        return [first, (yield from _lbfgsb(first.x, lb, ub))]
 
     anchors = _anchors(data.values, cfg.n_restarts)
     runs = _lockstep([restart(np.log(a)) for a in anchors], obj.value_grad)

@@ -248,20 +248,17 @@ def find_root_increasing(g: Callable[[float], float], target: float) -> float:
         return hi
     from .optimize import brentq
 
-    return brentq(h, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=256)
+    return brentq(h, lo, hi, xtol=1e-300, maxiter=256)
 
 
+_STEP_SCALE = 1e-4   # a stencil step is this fraction of max(|p_i|, _STEP_FLOOR)
 _STEP_FLOOR = 1e-8   # smallest |p_i| a stencil step is scaled by
 
 
-def numerical_hessian(
-    f: Callable[[np.ndarray], float],
-    point: Sequence[float],
-    step_scale: float = 1e-4,
-) -> np.ndarray:
-    """Central-difference Hessian of a scalar function, symmetrised.
+def numerical_hessian(f: Callable[[np.ndarray], float], point: Sequence[float]) -> np.ndarray:
+    """Central-difference Hessian of a scalar function, exactly symmetric.
 
-    Per-coordinate steps are ``step_scale * max(|p_i|, 1e-8)``, balancing
+    Per-coordinate steps are ``_STEP_SCALE * max(|p_i|, _STEP_FLOOR)``, balancing
     truncation against round-off for log-likelihoods of ~50-point samples.
 
     Raises:
@@ -270,7 +267,7 @@ def numerical_hessian(
     """
     p = np.asarray(point, dtype=float)
     n = p.size
-    h = step_scale * np.maximum(np.abs(p), _STEP_FLOOR)
+    h = _STEP_SCALE * np.maximum(np.abs(p), _STEP_FLOOR)
 
     def ev(q: np.ndarray, coord) -> float:
         v = float(f(q))
@@ -280,18 +277,13 @@ def numerical_hessian(
 
     f0 = ev(p, "center")
     H = np.empty((n, n), dtype=float)
+    e = np.diag(h)   # e[i] steps coordinate i alone
     with np.errstate(over="ignore"):   # h*h may overflow for huge coordinates
         for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h[i]
-            H[i, i] = (ev(p + ei, i) - 2.0 * f0 + ev(p - ei, i)) / (h[i] * h[i])
+            H[i, i] = (ev(p + e[i], i) - 2.0 * f0 + ev(p - e[i], i)) / (h[i] * h[i])
         for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h[i]
             for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = h[j]
-                val = (ev(p + ei + ej, (i, j)) - ev(p + ei - ej, (i, j))
-                       - ev(p - ei + ej, (i, j)) + ev(p - ei - ej, (i, j)))
+                val = (ev(p + e[i] + e[j], (i, j)) - ev(p + e[i] - e[j], (i, j))
+                       - ev(p - e[i] + e[j], (i, j)) + ev(p - e[i] - e[j], (i, j)))
                 H[i, j] = H[j, i] = val / (4.0 * h[i] * h[j])
-    return 0.5 * (H + H.T)
+    return H

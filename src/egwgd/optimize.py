@@ -7,7 +7,8 @@ TOMS 38, 7, 2011) with the More-Thuente line search (ACM TOMS 20, 286,
 scipy.optimize's L-BFGS-B step for step: the generalized Cauchy point
 along the projected-gradient path, a Newton step on the variables that are
 free there, a line search from the unit step, ``maxcor = 10`` curvature
-pairs and the stop tests in scipy's order.  A point where the objective's
+pairs and the stop tests in scipy's order, with fit's settings as constants
+(500 iterations, ftol 1e-14, gtol 1e-12).  A point where the objective's
 value or gradient is not finite is untenable: the line search backs off
 from it halfway to its best step, and a run that starts at one ends at
 once (ABNORMAL).  The linear algebra also differs: the problems solved here have a handful of variables, so the
@@ -44,21 +45,25 @@ from types import SimpleNamespace
 import numpy as np
 
 _EPS = float(np.finfo(float).eps)
+_LBFGSB_MAX_ITER = 500   # caps each L-BFGS-B run
+_LBFGSB_FTOL = 1e-14     # scipy's ftol: the relative-reduction stop
+_LBFGSB_GTOL = 1e-12     # scipy's gtol: the projected-gradient stop
+_BRENT_MAX_ITER = 500    # caps the bounded Brent's calls of func
+_BRENTQ_RTOL = 4 * _EPS  # brentq's relative tolerance
 
 
 # ---------------------------------------------------------------------------
 # L-BFGS-B
 # ---------------------------------------------------------------------------
 
-def minimize(fun, x0, bounds, options=None):
+def minimize(fun, x0, bounds):
     """Minimise ``fun`` over a box with L-BFGS-B: ``_lockstep`` on one ``_lbfgsb`` run.
 
     ``fun(x)`` returns ``(f, gradient)``; a point where either is not
     finite is untenable, and the line search backs off from it.
     ``bounds`` gives a finite ``(lo, hi)`` pair with lo < hi for every
-    variable, and x0 is clipped into the box.  ``options`` may set
-    ``maxiter`` (default 15000), ``ftol`` (2.2e-9) and ``gtol`` (1e-5),
-    with scipy's meanings.
+    variable, and x0 is clipped into the box.  The stop tests are
+    ``_lbfgsb``'s constants.
 
     Returns a namespace with ``x``, ``fun`` and ``jac`` (the objective's own
     value and gradient at x), ``nfev`` (objective calls), ``nit`` (accepted
@@ -68,7 +73,7 @@ def minimize(fun, x0, bounds, options=None):
     hi = [float(b[1]) for b in bounds]
     if len(lo) != len(x0) or not all(-math.inf < l < h < math.inf for l, h in zip(lo, hi)):
         raise ValueError("bounds must be one finite (lo, hi) pair with lo < hi per variable")
-    run = _lbfgsb(x0, lo, hi, **(options or {}))
+    run = _lbfgsb(x0, lo, hi)
     return _lockstep([run], lambda block: zip(*map(fun, block)))[0]   # (values, gradients)
 
 
@@ -92,16 +97,16 @@ def _lockstep(runs, evaluate):
     return results
 
 
-def _lbfgsb(x0, lo, hi, maxiter=15000, ftol=2.220446049250313e-09, gtol=1e-5):
-    """One L-BFGS-B run as a generator (see minimize for the arguments).
+def _lbfgsb(x0, lo, hi):
+    """One L-BFGS-B run as a generator from x0 in the box lo, hi (lists).
 
     It yields each point it needs evaluated, as an array, and is sent back
     ``(f, gradient)`` there; it returns minimize's namespace.  ``_lockstep``
-    drives it, alone or beside other runs.
+    drives it, alone or beside other runs.  It reads ``_LBFGSB_MAX_ITER`` as it starts.
     """
     n = len(lo)
-    maxfun, maxls = 15000, 20
-    tol = ftol / _EPS * _EPS           # scipy's factr * epsmch
+    maxiter, maxfun, maxls = _LBFGSB_MAX_ITER, 15000, 20
+    tol = _LBFGSB_FTOL / _EPS * _EPS   # scipy's factr * epsmch
     x = [min(max(float(v), l), h) for v, l, h in zip(x0, lo, hi)]
     nfev = 0
     last = None                        # (x, f, g as list, g as array) of the latest call
@@ -123,7 +128,7 @@ def _lbfgsb(x0, lo, hi, maxiter=15000, ftol=2.220446049250313e-09, gtol=1e-5):
     message = ""
     if not _tenable(f, g):
         message = "ABNORMAL: NON-FINITE VALUE OR GRADIENT AT THE START"
-    elif _projgr(x, g, lo, hi) <= gtol:
+    elif _projgr(x, g, lo, hi) <= _LBFGSB_GTOL:
         message = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
     while not message:
         theta, N = memory.theta, memory.N
@@ -166,7 +171,7 @@ def _lbfgsb(x0, lo, hi, maxiter=15000, ftol=2.220446049250313e-09, gtol=1e-5):
             message = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
         elif nfev > maxfun:
             message = "STOP: TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT"
-        elif _projgr(x, g, lo, hi) <= gtol:
+        elif _projgr(x, g, lo, hi) <= _LBFGSB_GTOL:
             message = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
         elif f0 - f <= tol * max(abs(f0), abs(f), 1.0):
             message = "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
@@ -589,7 +594,7 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
 # one-dimensional: bounded Brent minimiser and Brent's root finder
 # ---------------------------------------------------------------------------
 
-def minimize_scalar_bounded(func, lo, hi, xatol=1e-5, maxiter=500):
+def minimize_scalar_bounded(func, lo, hi, xatol):
     """Minimiser of func on [lo, hi]: scipy's ``minimize_scalar(method="bounded")``.
 
     Brent's golden-section search with parabolic interpolation, ported
@@ -654,7 +659,7 @@ def minimize_scalar_bounded(func, lo, hi, xatol=1e-5, maxiter=500):
                 nfc, fnfc = x, fu
             elif fu <= ffulc or fulc == xf or fulc == nfc:
                 fulc, ffulc = x, fu
-        if num >= maxiter:
+        if num >= _BRENT_MAX_ITER:
             break
     return xf
 
@@ -664,7 +669,7 @@ def _sign1(v):
     return -1.0 if v < 0.0 else 1.0
 
 
-def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
+def brentq(f, a, b, xtol=2e-12, maxiter=100):
     """Root of f in [a, b], where f(a) and f(b) differ in sign: scipy's ``brentq``.
 
     Brent's method, ported operation for operation from scipy's C brentq.
@@ -677,7 +682,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return v
 
-    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), _BRENTQ_RTOL
     xblk = fblk = spre = scur = 0.0
     fpre = call(xpre)
     fcur = call(xcur)

@@ -10,20 +10,22 @@ its interval's edge, and a ``compare`` of ED, GED and GD there; then
 at each law's 1e-6, 1e-4 and 1e-2 quantiles, its left tail; and four
 commands that fail (an unknown model to ``fit`` and to ``compare``,
 ``sample --n 0`` and ``eval`` at a negative point), so their exit statuses
-are compared too.  These laws restate the benchmark's own, and every input
+and messages are compared too; and ``--help`` of the top-level parser and
+of each command.  These laws restate the benchmark's own, and every input
 is made here with numpy alone, so neither tree's package shapes what the
 other is given.
 
 Each command runs as ``python -m egwgd.cli`` with OPENBLAS_NUM_THREADS=1,
 once with the package from --parent and once from this tree's ``src``.
-A command is identical when its stdout and exit status are.
+A command is identical when its stdout, stderr and exit status are.
 
 Run it from the repository root (pytest does not collect this file):
 
     python tests/cli_diff.py --parent OTHER_TREE/src
 
 It prints "identical" or "differs" for each command, with the first
-differing line of each output, and exits 1 if any command differs.
+differing line of its stdout and of its stderr, and exits 1 if any command
+differs.
 """
 
 import argparse
@@ -103,7 +105,10 @@ def commands(midpoint_file: str, constant_file: str) -> list:
          ["compare", "--data", "aarset", "--models", "ed,cauchy"]),
         ("sample --n 0 (error)", ["sample", *_flags(LAWS["bathtub"]), "--n", "0", "--seed", "7"]),
         ("eval bathtub --x 0,-1 (error)", ["eval", *_flags(LAWS["bathtub"]), "--x", "0,-1"]),
+        ("--help", ["--help"]),
     ]
+    cmds += [(f"{c} --help", [c, "--help"])
+             for c in ("fit", "compare", "curves", "sample", "reliability", "eval")]
     return cmds
 
 
@@ -112,7 +117,7 @@ def run(src: str, argv: list, cwd: str) -> tuple:
                PYTHONDONTWRITEBYTECODE="1")
     r = subprocess.run([sys.executable, "-m", "egwgd.cli", *argv], cwd=cwd, env=env,
                        capture_output=True, text=True)
-    return r.returncode, r.stdout
+    return r.returncode, r.stdout, r.stderr
 
 
 def _first_difference(a: str, b: str) -> str:
@@ -144,7 +149,10 @@ def main(argv=None):
             print(f"{'identical' if old == new else 'differs':9}  {label}", flush=True)
             if old != new:
                 differ += 1
-                print(f"    exit status {old[0]} -> {new[0]}\n{_first_difference(old[1], new[1])}")
+                print(f"    exit status {old[0]} -> {new[0]}")
+                for name, a, b in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):
+                    if a != b:
+                        print(f"  {name}\n{_first_difference(a, b)}")
     print(f"{differ} of {len(cmds)} commands differ")
     return 1 if differ else 0
 

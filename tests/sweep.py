@@ -43,10 +43,7 @@ CREEP = 1e-6        # a trial this close to the last evaluable point creeps
 
 
 def _untenable(f, g):
-    # trees before the +inf convention mark such a point with a finite
-    # sentinel (estimation._BIG) and a zero gradient
-    big = getattr(estimation, "_BIG", None)
-    return bool(not (math.isfinite(f) and np.isfinite(g).all()) or f == big)
+    return not (math.isfinite(f) and np.isfinite(g).all())
 
 
 def _watch(real, stats, ends):

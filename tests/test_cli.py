@@ -39,6 +39,12 @@ class TestFitCommand:
         assert payload["converged"] is True
         assert payload["covariance"]["order"] == ["a", "b", "c", "d", "theta"]
 
+    def test_level_sets_the_interval_level(self, capsys):
+        code, out, _ = run(capsys, "fit", "--data", "aarset", "--model", "egwgd",
+                           "--level", "0.9")
+        assert code == 0
+        assert json.loads(out)["level"] == 0.9
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "fit", "--data", "/nonexistent", "--model", "ed")
         assert code == 1
@@ -132,6 +138,12 @@ class TestCompareCommand:
     def test_empty_model_list(self, capsys):
         code, _, _ = run(capsys, "compare", "--data", "aarset", "--models", ",")
         assert code == 1
+
+    def test_level_is_a_usage_error(self, capsys):
+        # compare prints no intervals, so it takes no interval level
+        code, out, _ = run(capsys, "compare", "--data", "aarset", "--models", "ed,egwgd",
+                           "--level", "0.9")
+        assert (code, out) == (1, "")
 
     def test_single_model_matches_fit(self, capsys):
         code, out, _ = run(capsys, "compare", "--data", "aarset", "--models", "ed")

@@ -30,7 +30,7 @@ from egwgd import (
     sample,
 )
 from egwgd import distribution as dist
-from egwgd import estimation
+from egwgd import estimation, optimize
 from egwgd.estimation import PARAM_ORDER, _anchors, _Objective
 from egwgd.exceptions import (
     DegenerateInformationError,
@@ -740,17 +740,17 @@ class TestFit:
         runs = []
         real = estimation._lbfgsb
 
-        def spy(x0, lo, hi, **options):
-            r = yield from real(x0, lo, hi, **options)
-            runs.append((np.array(x0), list(zip(lo, hi)), options, r))
+        def spy(x0, lo, hi):
+            r = yield from real(x0, lo, hi)
+            runs.append((np.array(x0), list(zip(lo, hi)), r))
             return r
 
         monkeypatch.setattr(estimation, "_lbfgsb", spy)
         res = fit(data)
         assert len(runs) >= 8
         assert res.n_evals == sum(r.nfev for *_, r in runs)
-        for x0, bounds, options, r in runs:
-            alone = minimize(_Objective(data).value_grad, x0, bounds, options)
+        for x0, bounds, r in runs:
+            alone = minimize(_Objective(data).value_grad, x0, bounds)
             np.testing.assert_array_equal(r.x, alone.x)
             np.testing.assert_array_equal(r.jac, alone.jac)
             assert (r.fun, r.nfev, r.nit, r.message) == (
@@ -760,7 +760,7 @@ class TestFit:
         # max(1, 2**14 // n) rows per pass: at n = 20000 the eight runs' block
         # is evaluated one point at a time, in a workspace of one row, with
         # each law as floats (no dist._Laws columns)
-        monkeypatch.setattr(estimation, "_LBFGSB_MAX_ITER", 1)
+        monkeypatch.setattr(optimize, "_LBFGSB_MAX_ITER", 1)
         blocks, rows, shapes = [], [], set()
         value_grad, one_pass = _Objective.value_grad, _Objective._pass
 
@@ -787,7 +787,7 @@ class TestFit:
         assert shapes and {s[0] for s in shapes} == {1}
 
     def test_short_lbfgsb_retries_everywhere(self, aarset_data, monkeypatch):
-        monkeypatch.setattr(estimation, "_LBFGSB_MAX_ITER", 1)
+        monkeypatch.setattr(optimize, "_LBFGSB_MAX_ITER", 1)
         calls = _spy_stages(monkeypatch)
         res = fit(aarset_data)
         restarts = _by_restart(calls)
@@ -807,7 +807,7 @@ class TestFit:
         # L-BFGS-B keeps only iterates that pass its sufficient-decrease line
         # search, so fit needs no guard against an endpoint worse than its start
         if max_iter is not None:
-            monkeypatch.setattr(estimation, "_LBFGSB_MAX_ITER", max_iter)
+            monkeypatch.setattr(optimize, "_LBFGSB_MAX_ITER", max_iter)
         calls = _spy_stages(monkeypatch)
         fit(data)
         assert calls

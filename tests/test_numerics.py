@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from egwgd import loglik
+from egwgd import loglik, numerics
 from egwgd.exceptions import (
     BracketError,
     InvalidIntegrandError,
@@ -132,23 +132,25 @@ class TestNumericalHessian:
         H = numerical_hessian(f, rng.uniform(0.5, 2.0, size=5))
         assert np.array_equal(H, H.T)
 
-    def test_loglik_hessian_step_halving(self, aarset_data):
+    def test_loglik_hessian_step_halving(self, aarset_data, monkeypatch):
         def negL(v):
             from egwgd.distribution import EgwgParams
             return -loglik(EgwgParams(*v), aarset_data)
 
         pt = np.array([PRINTED_MLE.a, PRINTED_MLE.b, PRINTED_MLE.c,
                        PRINTED_MLE.d, PRINTED_MLE.theta])
-        H1 = numerical_hessian(negL, pt, step_scale=1e-4)
-        H2 = numerical_hessian(negL, pt, step_scale=5e-5)
+        H1 = numerical_hessian(negL, pt)
+        monkeypatch.setattr(numerics, "_STEP_SCALE", numerics._STEP_SCALE / 2.0)
+        H2 = numerical_hessian(negL, pt)
         scale = np.maximum(np.abs(H2), 1e-12)
         assert np.max(np.abs(H1 - H2) / scale) < 5e-4   # 3+ significant digits
 
     def test_stencil_failure_names_coordinate(self):
         def f(p):
             with np.errstate(invalid="ignore"):
-                return float(np.sqrt(p[1] - 0.999))   # nan once the stencil crosses
+                return float(np.sqrt(p[1] - 0.99995))   # nan once the stencil crosses
 
+        # steps of 1e-4 at p = 1: p[1] - h = 0.9999 lies outside the domain
         with pytest.raises(StencilError) as err:
-            numerical_hessian(f, np.ones(3), step_scale=0.1)
-        assert err.value.coordinate is not None
+            numerical_hessian(f, np.ones(3))
+        assert err.value.coordinate == 1

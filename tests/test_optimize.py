@@ -13,7 +13,7 @@ import scipy.optimize as sp
 
 from egwgd import AARSET, Dataset, FitConfig, fit, sample
 from egwgd import distribution as dist
-from egwgd import estimation, submodels
+from egwgd import estimation, optimize, submodels
 from egwgd.numerics import find_root_increasing
 from egwgd.optimize import _Dcsrch, _lbfgsb, _lockstep, brentq, minimize, minimize_scalar_bounded
 from conftest import random_params
@@ -47,9 +47,10 @@ class TestBoundedBrent:
             assert (minimize_scalar_bounded(f, lo, hi, xatol=xatol)
                     == scipy_bounded(f, lo, hi, xatol=xatol))
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
         f = lambda x: (x - 0.3) ** 2   # noqa: E731
-        assert minimize_scalar_bounded(f, 0.0, 1.0, maxiter=3) == scipy_bounded(f, 0.0, 1.0, maxiter=3)
+        monkeypatch.setattr(optimize, "_BRENT_MAX_ITER", 3)
+        assert minimize_scalar_bounded(f, 0.0, 1.0, 1e-5) == scipy_bounded(f, 0.0, 1.0, maxiter=3)
 
 
 class TestBrentq:
@@ -100,20 +101,22 @@ def rosenbrock(x):
     return f, g
 
 
-TIGHT = {"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12}
+# the L-BFGS-B settings, fit's, as scipy's options
+TIGHT = {"maxiter": optimize._LBFGSB_MAX_ITER, "ftol": optimize._LBFGSB_FTOL,
+         "gtol": optimize._LBFGSB_GTOL}
 
 
 class TestLbfgsb:
     def test_box_constrained_rosenbrock(self):
         # with x <= 0.5, the minimiser of (1 - x)^2 + 100 (y - x^2)^2 is (0.5, 0.25)
         r = minimize(rosenbrock, np.array([-1.2, 1.0]),
-                     bounds=[(-1.5, 0.5), (-1.5, 2.0)], options=TIGHT)
+                     bounds=[(-1.5, 0.5), (-1.5, 2.0)])
         assert np.allclose(r.x, [0.5, 0.25], rtol=0.0, atol=1e-9)
         assert r.message.startswith("CONVERGENCE")
 
     def test_rosenbrock_interior_minimum(self):
         r = minimize(rosenbrock, np.array([-1.2, 1.0, -0.5, 0.3]),
-                     bounds=[(-2.0, 2.0)] * 4, options=TIGHT)
+                     bounds=[(-2.0, 2.0)] * 4)
         assert np.allclose(r.x, 1.0, rtol=0.0, atol=1e-7)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -127,20 +130,19 @@ class TestLbfgsb:
         def f(x):
             return 0.5 * float(np.sum(h * (x - c) ** 2)), h * (x - c)
 
-        r = minimize(f, rng.uniform(lo, hi), bounds=list(zip(lo, hi)),
-                     options=TIGHT)
+        r = minimize(f, rng.uniform(lo, hi), bounds=list(zip(lo, hi)))
         assert np.allclose(r.x, np.clip(c, lo, hi), rtol=0.0, atol=1e-8)
         assert np.any((c < lo) | (c > hi))   # some bound is active
 
-    def test_result_is_the_objectives_value_at_x(self):
+    def test_result_is_the_objectives_value_at_x(self, monkeypatch):
         calls = []
 
         def f(x):
             calls.append((x.copy(), *rosenbrock(x)))
             return calls[-1][1:]
 
-        r = minimize(f, np.array([0.3, -0.4, 0.8]),
-                     bounds=[(-1.0, 1.0)] * 3, options={"maxiter": 7})
+        monkeypatch.setattr(optimize, "_LBFGSB_MAX_ITER", 7)
+        r = minimize(f, np.array([0.3, -0.4, 0.8]), bounds=[(-1.0, 1.0)] * 3)
         assert r.nit == 7 and r.message == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
         assert r.nfev == len(calls)
         x, fx, gx = next(c for c in reversed(calls) if np.array_equal(c[0], r.x))
@@ -158,7 +160,7 @@ class TestLbfgsb:
 
     def test_start_is_clipped_into_the_box(self):
         r = minimize(rosenbrock, np.array([5.0, -5.0]),
-                     bounds=[(-1.5, 0.5), (-1.5, 2.0)], options=TIGHT)
+                     bounds=[(-1.5, 0.5), (-1.5, 2.0)])
         assert np.allclose(r.x, [0.5, 0.25], rtol=0.0, atol=1e-9)
 
     def test_backs_off_from_an_untenable_step(self):
@@ -172,7 +174,7 @@ class TestLbfgsb:
                 return math.inf, np.array([math.nan])
             return float((x[0] - 0.5) ** 2), 2.0 * (x - 0.5)
 
-        r = minimize(f, np.array([-1.0]), bounds=[(-2.0, 3.0)], options=TIGHT)
+        r = minimize(f, np.array([-1.0]), bounds=[(-2.0, 3.0)])
         assert trials == [-1.0, 2.0, 0.5]
         assert r.x[0] == 0.5 and r.message.startswith("CONVERGENCE") and r.nit == 1
 
@@ -201,7 +203,7 @@ class TestLbfgsb:
             seen.append(x.copy())
             return rosenbrock(x)
 
-        r = minimize(f, np.array([-1.2, 1.0]), bounds=[(-2.0, 2.0)] * 2, options=TIGHT)
+        r = minimize(f, np.array([-1.2, 1.0]), bounds=[(-2.0, 2.0)] * 2)
         assert len(seen) < r.nfev   # some trials were untenable
         assert np.isfinite(r.fun) and np.allclose(r.x, 1.0, rtol=0.0, atol=1e-6)
 
@@ -223,7 +225,7 @@ class TestLbfgsb:
 
         bounds = list(zip(rng.uniform(-2.0, -0.5, 4), rng.uniform(0.5, 2.0, 4)))
         x0 = np.array([rng.uniform(lo, hi) for lo, hi in bounds])
-        ours = minimize(f, x0, bounds=bounds, options=TIGHT)
+        ours = minimize(f, x0, bounds=bounds)
         ref = sp.minimize(f, x0, jac=True, method="L-BFGS-B", bounds=bounds, options=TIGHT)
         assert abs(ours.fun - ref.fun) <= 1e-12 * max(1.0, abs(ref.fun))
         assert np.allclose(ours.x, ref.x, rtol=0.0, atol=1e-6)
@@ -269,14 +271,14 @@ class TestLockstep:
 
     def test_minimize_is_a_pool_of_one(self):
         x0, bounds = np.array([-1.2, 1.0, -0.5, 0.3]), [(-2.0, 2.0)] * 4
-        ours = minimize(rosenbrock, x0, bounds, TIGHT)
+        ours = minimize(rosenbrock, x0, bounds)
         lo, hi = map(list, zip(*bounds))
 
         def evaluate(block):
             rows = [rosenbrock(u) for u in block]
             return [f for f, _ in rows], [g for _, g in rows]
 
-        [alone] = _lockstep([_lbfgsb(x0, lo, hi, **TIGHT)], evaluate)
+        [alone] = _lockstep([_lbfgsb(x0, lo, hi)], evaluate)
         np.testing.assert_array_equal(ours.x, alone.x)
         assert (ours.fun, ours.nfev, ours.nit, ours.message) == (
             alone.fun, alone.nfev, alone.nit, alone.message)
@@ -303,8 +305,7 @@ def test_fit_reaches_scipys_optimum(law, n):
     lo, hi = np.log(FitConfig().box).T
     fun = finite(estimation._Objective(data).value_grad)
     ref = min(sp.minimize(fun, np.clip(np.log(anchor), lo, hi), jac=True, method="L-BFGS-B",
-                          bounds=list(zip(lo, hi)),
-                          options={**TIGHT, "maxiter": estimation._LBFGSB_MAX_ITER}).fun
+                          bounds=list(zip(lo, hi)), options=TIGHT).fun
               for anchor in estimation._anchors(data.values, 8))
     assert ours.converged
     assert abs(-ours.loglik - ref) <= 1e-9 * abs(ref)
