@@ -20,7 +20,7 @@ COMPETITORS = ["ed", "ged", "gd", "iw", "giw", "egiw"]
 
 
 def main():
-    data = Dataset(AARSET, label="aarset")
+    data = Dataset(AARSET)
     models = []
     for kind in COMPETITORS:
         spec = fit_competitor(kind, data.values)

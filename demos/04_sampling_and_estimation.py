@@ -26,7 +26,7 @@ def main():
     draws = sample(TRUTH, N, SEED)
     print(f"n={N}, seed={SEED}: mean={draws.mean():.4f}, "
           f"min={draws.min():.4g}, max={draws.max():.4g}")
-    data = Dataset(draws, label=f"simulated(seed={SEED})")
+    data = Dataset(draws)
 
     res = fit(data, FitConfig())
     print(f"\nconverged={res.converged}, restarts={res.restarts_used}, "

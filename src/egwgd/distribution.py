@@ -22,6 +22,7 @@ from .exceptions import (
     InvalidParametersError,
     LeftTailUnderflowError,
     TailOverflowError,
+    _whole,
 )
 from .numerics import find_root_increasing  # noqa: F401  (perfbench's tracer wraps this name)
 
@@ -546,7 +547,7 @@ def sample(p: EgwgParams, n: int, seed: int) -> np.ndarray:
     equation is solved for the whole batch by one Newton solve in log x (see
     _batch_quantile), so the draws are bit-reproducible too.
     """
-    n = int(n)
+    n = _whole(n, "n")
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     rng = np.random.Generator(np.random.Philox(seed))

@@ -37,7 +37,7 @@ The likelihood of this family is unbounded along degenerate spike ridges
 (b, d large) and improves toward the c -> 0 boundary closure on some data
 sets, so the optimizer works inside a documented parameter box; a terminus
 clamped at the box edge is reported as converged when its projected
-gradient vanishes.  See FitConfig.box.
+gradient vanishes.  See _BOX.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .exceptions import (
     InvalidParametersError,
     LeftTailUnderflowError,
     StencilError,
+    _whole,
 )
 from .numerics import numerical_hessian
 from .optimize import _lbfgsb, _lockstep, _projgr, _tenable, brentq
@@ -89,7 +90,6 @@ class Dataset:
     """A complete (uncensored) sample of positive lifetimes, kept sorted."""
 
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         v = np.sort(_lifetimes(self.values))
@@ -103,31 +103,17 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Multistart settings: restart count, interval level and search box.
-
-    ``box`` bounds the (a, b, c, d) search in natural units, as four
-    (lo, hi) pairs with 0 < lo < hi < inf.  The defaults admit the
-    parameter scales seen in lifetime data spanning several decades while
-    excluding the numerically degenerate spike ridges (b, d -> large) along
-    which the likelihood is unbounded.
-    """
+    """Multistart settings: the restart count and the Wald interval level."""
 
     n_restarts: int = 8
     ci_level: float = 0.95
-    box: tuple = ((1e-12, 1e4), (1e-3, 4.0), (1e-6, 50.0), (0.05, 4.0))
 
     def __post_init__(self):
+        object.__setattr__(self, "n_restarts", _whole(self.n_restarts, "n_restarts"))
         if self.n_restarts < 1:
             raise ValueError("n_restarts must be >= 1")
         if not (0.0 < self.ci_level < 1.0):
             raise ValueError("ci_level must be in (0, 1)")
-        try:
-            ok = len(self.box) == 4 and all(
-                len(p) == 2 and 0.0 < p[0] < p[1] < math.inf for p in self.box)
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ValueError("box must be four (lo, hi) pairs with 0 < lo < hi < inf")
 
 
 @dataclass
@@ -290,6 +276,10 @@ def _theta_hat(n: int, ssum) -> float:
 # multistart fit
 # ---------------------------------------------------------------------------
 
+# The (a, b, c, d) search box in natural units; fit reads it on each call.  Positive bounds
+# suit the search in log parameters; finite ones exclude the spike ridges (b, d -> large), where
+# the likelihood is unbounded, and still admit lifetime scales spanning several decades.
+_BOX = ((1e-12, 1e4), (1e-3, 4.0), (1e-6, 50.0), (0.05, 4.0))
 _STATIONARITY_SCALE = 1e-4   # converged: max |projected grad / max(1, |L|)| <= scale
 _PASS_POINTS = 2 ** 14       # a kernel pass holds at most max(1, this // n) rows of n points
 
@@ -447,7 +437,7 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     if data.n < 5:
         raise DomainError("the five-parameter fit needs n >= 5")
     obj = _Objective(data)
-    lb, ub = np.log(cfg.box).T.tolist()
+    lb, ub = np.log(_BOX).T.tolist()
 
     def restart(u0):   # the first run clips u0 into the box
         first = yield from _lbfgsb(u0, lb, ub)
@@ -498,7 +488,7 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
                        level=cfg.ci_level, converged=converged,
                        n_evals=sum(r.nfev for rs in runs for r in rs), restarts_used=len(termini))
     try:
-        result.intervals = confidence_intervals(result, cfg.ci_level)
+        result.intervals = confidence_intervals(result)
         result.below_zero = tuple(
             name for name, (lo, _) in result.intervals.items() if lo < 0.0)
     except DegenerateInformationError:
@@ -523,16 +513,15 @@ def observed_information(p: EgwgParams, data: Dataset) -> np.ndarray:
     return -numerical_hessian(L, point)
 
 
-def confidence_intervals(fit_result: FitResult, level: float | None = None) -> dict:
-    """Wald intervals MLE +/- z * sqrt(var) for each parameter.
+def confidence_intervals(fit_result: FitResult) -> dict:
+    """Wald intervals MLE +/- z * sqrt(var) for each parameter, at fit_result.level.
 
     Negative lower bounds are reported as computed; callers can consult
     FitResult.below_zero for the positivity flags.
     """
-    level = fit_result.level if level is None else float(level)
-    if not (0.0 < level < 1.0):
-        raise DomainError(f"confidence level must be in (0, 1), got {level}")
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    if not (0.0 < fit_result.level < 1.0):
+        raise DomainError(f"confidence level must be in (0, 1), got {fit_result.level}")
+    z = NormalDist().inv_cdf(0.5 + fit_result.level / 2.0)
     diag = np.diag(np.asarray(fit_result.covariance, dtype=float))
     out = {}
     for name, m, v in zip(PARAM_ORDER, astuple(fit_result.params), diag):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its whole-number check."""
 
 
 class EgwgError(Exception):
@@ -60,3 +60,13 @@ class DegenerateInformationError(EgwgError):
 
 class NotEmbeddableError(EgwgError, ValueError):
     """The requested sub-model is a degenerate limit of the full family."""
+
+
+def _whole(value, name: str) -> int:
+    """value as an int if it is a finite whole number (2, 2.0, a numpy int), else DomainError."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):   # nan, inf, non-numbers
+        pass
+    raise DomainError(f"{name} must be a finite whole number, got {value!r}")

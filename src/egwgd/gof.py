@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import DomainError, _whole
 
 __all__ = [
     "GofReport",
@@ -92,7 +92,7 @@ def ks_pvalue(d: float, n: int) -> float:
     drop below 1e-12 and clamped into [0, 1].
     """
     d = float(d)
-    n = int(n)
+    n = _whole(n, "n")
     if not (0.0 <= d <= 1.0) or n < 1:
         raise DomainError(f"need d in [0, 1] and n >= 1, got d={d}, n={n}")
     if d == 0.0:
@@ -116,7 +116,7 @@ def info_criteria(neg_loglik: float, k: int, n: int) -> tuple[float, float, floa
     AIC = 2k + 2(-L); CAIC is the small-sample corrected AIC
     AIC + 2k(k+1)/(n-k-1); BIC = k ln n + 2(-L).
     """
-    k, n = int(k), int(n)
+    k, n = _whole(k, "k"), _whole(n, "n")
     if n <= k + 1:
         raise DomainError(f"CAIC undefined: need n > k + 1, got n={n}, k={k}")
     aic = 2.0 * k + 2.0 * neg_loglik

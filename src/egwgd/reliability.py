@@ -19,7 +19,7 @@ import numpy as np
 
 from . import distribution as dist
 from .distribution import EgwgParams
-from .exceptions import DomainError, LeftTailUnderflowError, TailOverflowError
+from .exceptions import DomainError, LeftTailUnderflowError, TailOverflowError, _whole
 from .numerics import integrate
 
 __all__ = [
@@ -45,7 +45,7 @@ def raw_moment(p: EgwgParams, r: int) -> float:
     Finite for every valid law (the right tail decays doubly exponentially);
     r = 0 returns 1.  Quadrature accuracy failures propagate to the caller.
     """
-    r = int(r)
+    r = _whole(r, "r")
     if r < 0:
         raise DomainError(f"moment order must be >= 0, got {r}")
     if r == 0:
@@ -160,7 +160,7 @@ def order_stat_pdf(p: EgwgParams, i: int, n: int, x):
     combinatorial prefactor evaluated through log-gamma.  i = 1 and i = n
     give the minimum and maximum order statistics.
     """
-    i, n = int(i), int(n)
+    i, n = _whole(i, "i"), _whole(n, "n")
     if n < 1 or not (1 <= i <= n):
         raise DomainError(f"order statistic index out of range: i={i}, n={n}")
     lp, lf, scalar = dist._log_density(p, x)   # log f and log F from one kernel pass

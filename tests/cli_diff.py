@@ -2,9 +2,11 @@
 
 The matrix is fixed: ``fit`` with every model (and the Gompertz alias)
 and one ``compare`` of all models, on Aarset and on the 2000-point
-midpoint-quantile sample of the law (0.001, 0.5, 0.3, 0.8, 0.5); ``fit``
-with GED, GD, GIW and EGIW on a sample of ten 3s, where each search ends at
-its interval's edge, and a ``compare`` of ED, GED and GD there; then
+midpoint-quantile sample of the law (0.001, 0.5, 0.3, 0.8, 0.5), and
+``fit --level 0.9`` of EGWGD on that sample, whose Wald intervals show the
+level (Aarset's fit prints none); ``fit`` with GED, GD, GIW and EGIW on a
+sample of ten 3s, where each search ends at its interval's edge, and a
+``compare`` of ED, GED and GD there; then
 ``sample``, ``curves --mrl``, ``reliability`` (with a repair law) and
 ``eval`` on a bathtub, an increasing and a decreasing hazard, and ``eval``
 at each law's 1e-6, 1e-4 and 1e-2 quantiles, its left tail; and four
@@ -82,6 +84,8 @@ def commands(midpoint_file: str, constant_file: str) -> list:
         for model in (*MODELS, "Gompertz"):
             cmds.append((f"fit {label} {model}", ["fit", "--data", data, "--model", model]))
         cmds.append((f"compare {label}", ["compare", "--data", data, "--models", ",".join(MODELS)]))
+    cmds.append((f"fit midpoint-{MIDPOINT_N} egwgd --level 0.9",
+                 ["fit", "--data", midpoint_file, "--model", "egwgd", "--level", "0.9"]))
     for model in EDGE_MODELS:
         cmds.append((f"fit constant-{CONSTANT_N} {model}",
                      ["fit", "--data", constant_file, "--model", model]))

@@ -7,7 +7,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from egwgd import AARSET, Dataset, EgwgParams, FitConfig, fit, loglik, sample
+from egwgd import AARSET, Dataset, EgwgParams, FitConfig, estimation, fit, loglik, sample
 
 # Property tests replay the same examples on every run, whatever the machine's
 # speed, and keep no example database.  Hypothesis still caches the numeric
@@ -28,7 +28,7 @@ RECOVERY_SEED = 11
 
 @pytest.fixture(scope="session")
 def aarset_data():
-    return Dataset(AARSET, label="aarset")
+    return Dataset(AARSET)
 
 
 @pytest.fixture(scope="session")
@@ -50,7 +50,7 @@ def aarset_egwgd_fit(aarset_data):
 def recovery_case():
     """Simulated sample from the fixed truth plus its fit and both logliks."""
     draws = sample(RECOVERY_TRUTH, RECOVERY_N, RECOVERY_SEED)
-    data = Dataset(draws, label="recovery")
+    data = Dataset(draws)
     res = fit(data, FitConfig(n_restarts=8))
     return {
         "truth": RECOVERY_TRUTH,
@@ -73,7 +73,7 @@ def random_params(rng):
 
 # laws log-uniform in the fit's search box, theta in [0.05, 20]; BOX_LAWS adds
 # the b = 0 sub-family
-BOX = FitConfig().box
+BOX = estimation._BOX
 
 
 def _log_uniform(lo, hi):

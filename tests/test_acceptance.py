@@ -98,7 +98,7 @@ def test_criterion_5_confidence_interval_reproduction():
     cov[0, 0] = 5.854e-10
     res = FitResult(params=PRINTED_MLE, loglik=0.0, covariance=cov, intervals=None,
                     level=0.95, converged=True, n_evals=0, restarts_used=0)
-    lo, hi = confidence_intervals(res, 0.95)["a"]
+    lo, hi = confidence_intervals(res)["a"]
     checks = [abs(lo - 0.000037) <= 1e-6, abs(hi - 0.000132) <= 1e-6]
     ok = all(checks)
     assert report(5, ok, f"95% interval for a: [{lo:.6f}, {hi:.6f}] vs printed "

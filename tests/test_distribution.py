@@ -658,6 +658,16 @@ class TestSample:
         with pytest.raises(DomainError):
             sample(GOMPERTZ, 0, 1)
 
+    @pytest.mark.parametrize("value", [2.5, 3.7, math.nan, math.inf, "2", None])
+    def test_a_size_that_is_not_whole_is_named(self, value):
+        with pytest.raises(DomainError, match="^n must be a finite whole number"):
+            sample(GOMPERTZ, value, 1)
+
+    def test_whole_floats_and_numpy_integers_are_sizes(self):
+        want = sample(GOMPERTZ, 3, 1)
+        assert np.array_equal(sample(GOMPERTZ, 3.0, 1), want)
+        assert np.array_equal(sample(GOMPERTZ, np.int64(3), 1), want)
+
 
 class TestNormalization:
     def test_density_integrates_to_one(self):

@@ -144,8 +144,8 @@ class TestDataset:
         with pytest.raises(DomainError):
             Dataset(np.array([]))
 
-    def test_label_and_n(self, aarset_data):
-        assert aarset_data.label == "aarset"
+    def test_label_and_n(self, aarset_data):   # Dataset has no label
+        assert [f.name for f in fields(Dataset)] == ["values"]
         assert aarset_data.n == 50
         assert_allclose(float(np.sum(aarset_data.values)), 2284.3, rtol=1e-12)
 
@@ -268,7 +268,7 @@ class TestProfileTheta:
     def test_is_exactly_the_unit_theta_log_cdf(self, aarset_data):
         # one inner kernel: the profile sums the same log(1 - e^{-z}) as log_cdf
         rng = np.random.default_rng(4)
-        lo, hi = np.log(FitConfig().box).T
+        lo, hi = np.log(estimation._BOX).T
         compared = 0
         for _ in range(200):
             a, b, c, d = np.exp(rng.uniform(lo, hi))
@@ -297,7 +297,7 @@ class TestProfileTheta:
 
 
 # a point of the search box, u = log(a, b, c, d)
-BOX_POINTS = st.tuples(*(st.floats(lo, hi) for lo, hi in np.log(FitConfig().box)))
+BOX_POINTS = st.tuples(*(st.floats(lo, hi) for lo, hi in np.log(estimation._BOX)))
 
 
 @functools.cache
@@ -312,7 +312,7 @@ def _edge_rows(name):
     obj = _Objective(data)
     rows = [np.log([0.01, 0.5, 0.3, 0.5])]
     assert np.exp(rows[0])[3] == 0.5
-    lo, hi = np.log(FitConfig().box).T
+    lo, hi = np.log(estimation._BOX).T
     rng = np.random.default_rng(5)
     # b below 1e-2, where c d / b^2 dominates dL/db
     u = rng.uniform(lo, np.log([1e4, 1e-2, 50.0, 4.0]), (100_000, 4))
@@ -425,8 +425,8 @@ class TestObjective:
         # identity with the public functions is exact, not approximate
         obj = _Objective(aarset_data)
         rng = np.random.default_rng(31)
-        lo = np.log([b[0] for b in FitConfig().box])
-        hi = np.log([b[1] for b in FitConfig().box])
+        lo = np.log([b[0] for b in estimation._BOX])
+        hi = np.log([b[1] for b in estimation._BOX])
         tenable = untenable = huge = 0
         for _ in range(50):
             u = rng.uniform(lo, hi)
@@ -452,7 +452,7 @@ class TestObjective:
 
     # Finite -L far above 1e13: the gradient L-BFGS-B's line search sees at
     # such a trial point must be its slope, not zero.
-    @given(st.tuples(*(st.floats(lo, hi) for lo, hi in np.log(FitConfig().box))))
+    @given(st.tuples(*(st.floats(lo, hi) for lo, hi in np.log(estimation._BOX))))
     @example((-9.73218504, 0.46970097, 2.74277722, -1.42786419))   # -L = 3.5e19
     def test_gradient_matches_central_differences(self, aarset_data, u):
         obj = _Objective(aarset_data)
@@ -593,7 +593,7 @@ class TestObjective:
         both = [u for u in self.clamp_box_points(12, 400)
                 if passes_and_under(u)[1:] == (2, True)]
         rng = np.random.default_rng(5)
-        lo, hi = np.log(FitConfig().box).T
+        lo, hi = np.log(estimation._BOX).T
         inf = next(u for u in rng.uniform(lo, hi, (400, 4)) if obj.value_grad(u)[0] == math.inf)
         monkeypatch.undo()
         return u1, both[0], both[1], inf
@@ -633,27 +633,29 @@ class TestObjective:
 
 
 class TestFitConfig:
-    def test_fields_are_the_three_callers_set(self):
-        assert [f.name for f in fields(FitConfig)] == ["n_restarts", "ci_level", "box"]
+    def test_fields_are_the_three_callers_set(self):   # now two: the box is estimation._BOX
+        assert [f.name for f in fields(FitConfig)] == ["n_restarts", "ci_level"]
 
-    @pytest.mark.parametrize("box", [
-        ((1e-12, 1e4), (-1.0, 4.0), (1e-6, 50.0), (0.05, 4.0)),
-        ((1e-12, 1e4), (1e-3, math.nan), (1e-6, 50.0), (0.05, 4.0)),
-        ((1e-12, 1e4), (1e-3, 4.0), (1e-6, 50.0)),
-        ((1e-12, 1e4), (4.0, 1e-3), (1e-6, 50.0), (0.05, 4.0)),
-        ((1e-12, 1e4), (1e-3, 1e-3), (1e-6, 50.0), (0.05, 4.0)),
-        ((1e-12, math.inf), (1e-3, 4.0), (1e-6, 50.0), (0.05, 4.0)),
-        ((1e-12, 1e4), (1e-3, 4.0, 8.0), (1e-6, 50.0), (0.05, 4.0)),
-        ((1e-12, 1e4), 4.0, (1e-6, 50.0), (0.05, 4.0)),
-    ], ids=["negative-lo", "nan-hi", "three-pairs", "lo-above-hi", "lo-equals-hi",
-            "infinite-hi", "triple", "scalar"])
-    def test_box_must_be_four_positive_finite_intervals(self, box):
-        with pytest.raises(ValueError, match="box"):
-            FitConfig(box=box)
+    @pytest.mark.parametrize("n_restarts", [2.5, math.nan, math.inf, "8", None])
+    def test_n_restarts_must_be_a_whole_number(self, n_restarts):
+        with pytest.raises(ValueError, match="n_restarts"):
+            FitConfig(n_restarts=n_restarts)
 
-    def test_a_narrower_box_is_accepted(self):
+    @pytest.mark.parametrize("n_restarts", [2.0, np.int64(2)], ids=["float", "numpy-int"])
+    def test_whole_n_restarts_of_any_type_fit(self, aarset_data, n_restarts):
+        assert fit(aarset_data, FitConfig(n_restarts=n_restarts)).restarts_used == 2
+
+
+class TestBox:
+    def test_fit_reads_the_box_on_each_call(self, aarset_data, aarset_egwgd_fit, monkeypatch):
         box = ((1e-6, 1.0), (0.01, 2.0), (1e-3, 5.0), (0.1, 2.0))
-        assert FitConfig(box=box).box == box
+        monkeypatch.setattr(estimation, "_BOX", box)
+        p = fit(aarset_data).params
+        for (lo, hi), v in zip(box, (p.a, p.b, p.c, p.d)):
+            assert lo * (1 - 1e-12) <= v <= hi * (1 + 1e-12)
+        # a stops on the narrower box's lower bound; the default fit's a, 1e-12, lies below it
+        assert p.a == pytest.approx(box[0][0], rel=1e-12)
+        assert aarset_egwgd_fit.params.a < box[0][0]
 
 
 class TestFit:
@@ -664,7 +666,7 @@ class TestFit:
 
     def test_terminus_never_below_anchors(self, aarset_data, aarset_egwgd_fit):
         obj = _Objective(aarset_data)
-        box = FitConfig().box
+        box = estimation._BOX
         lo = np.log([b[0] for b in box])
         hi = np.log([b[1] for b in box])
         for anchor in _anchors(aarset_data.values, 8):
@@ -691,7 +693,7 @@ class TestFit:
         restarts = _by_restart(calls)
         assert len(restarts) == cfg.n_restarts
         obj = _Objective(RETRY_SAMPLE)
-        lo, hi = np.log(cfg.box).T.tolist()
+        lo, hi = np.log(estimation._BOX).T.tolist()
         scale = estimation._STATIONARITY_SCALE
         for r1, r2 in restarts:
             # L-BFGS-B's own projected-gradient norm of the gradient over
@@ -707,7 +709,7 @@ class TestFit:
     def test_only_a_point_at_its_bound_ignores_an_outward_gradient(self):
         # at n = 20000, |-L| is near 6e4: 1e-4 * |-L| is wider than d's log
         # interval, so a distance to the bound must not stand in for the gradient
-        lo, hi = np.log(FitConfig().box).T.tolist()
+        lo, hi = np.log(estimation._BOX).T.tolist()
         x = [(l + h) / 2 for l, h in zip(lo, hi)]
 
         def stationary(d_gap, g_d):
@@ -861,7 +863,7 @@ class TestFit:
         u = np.array([-23.712, -5.376, -0.919, 0.520])
         f, gu = _Objective(aarset_data).value_grad(u)
         assert math.isfinite(f) and not np.all(np.isfinite(gu))
-        lo, hi = np.log(FitConfig().box).T
+        lo, hi = np.log(estimation._BOX).T
         r = minimize(_Objective(aarset_data).value_grad, u, list(zip(lo, hi)))
         assert r.message.startswith("ABNORMAL") and r.nit == 0
         # a fit whose one restart starts there ends there, and not converged
@@ -933,7 +935,7 @@ def _make_result(params, cov, level=0.95):
 class TestConfidenceIntervals:
     def test_zero_variance_collapses(self):
         res = _make_result(PRINTED_MLE, np.zeros((5, 5)))
-        ci = confidence_intervals(res, 0.95)
+        ci = confidence_intervals(res)
         for name, est in zip(PARAM_ORDER, [PRINTED_MLE.a, PRINTED_MLE.b, PRINTED_MLE.c,
                                            PRINTED_MLE.d, PRINTED_MLE.theta]):
             assert ci[name] == (est, est)
@@ -942,7 +944,7 @@ class TestConfidenceIntervals:
         cov = np.zeros((5, 5))
         cov[0, 0] = 5.854e-10
         res = _make_result(PRINTED_MLE, cov)
-        lo, hi = confidence_intervals(res, 0.95)["a"]
+        lo, hi = confidence_intervals(res)["a"]
         assert abs(lo - 0.000037) <= 1e-6
         assert abs(hi - 0.000132) <= 1e-6
 
@@ -951,7 +953,7 @@ class TestConfidenceIntervals:
         res = _make_result(PRINTED_MLE, cov)
         from scipy.stats import norm
         z = float(norm.ppf(0.975))
-        ci = confidence_intervals(res, 0.95)
+        ci = confidence_intervals(res)
         for name, var in zip(PARAM_ORDER, np.diag(cov)):
             lo, hi = ci[name]
             assert_allclose((hi - lo) / 2.0 / math.sqrt(var), z, rtol=1e-12)
@@ -960,13 +962,13 @@ class TestConfidenceIntervals:
         cov = np.diag([1e-8, -1e-4, 1e-3, 1e-3, 1e-3])
         res = _make_result(PRINTED_MLE, cov)
         with pytest.raises(DegenerateInformationError) as err:
-            confidence_intervals(res, 0.95)
+            confidence_intervals(res)
         assert err.value.coordinate == "b"
 
     def test_level_domain(self):
-        res = _make_result(PRINTED_MLE, np.zeros((5, 5)))
+        res = _make_result(PRINTED_MLE, np.zeros((5, 5)), level=1.2)
         with pytest.raises(DomainError):
-            confidence_intervals(res, 1.2)
+            confidence_intervals(res)
 
     def test_wald_coverage_ed(self):
         # 500 replications of the exponential fit at n = 200, nominal 95%

@@ -112,6 +112,22 @@ class TestInfoCriteria:
             info_criteria(100.0, 5, 6)
 
 
+class TestWholeNumberArguments:
+    @pytest.mark.parametrize("name, call", [
+        ("n", lambda v: ks_pvalue(0.191, v)),
+        ("k", lambda v: info_criteria(10.0, v, 50)),
+        ("n", lambda v: info_criteria(10.0, 2, v)),
+    ], ids=["ks_pvalue-n", "info_criteria-k", "info_criteria-n"])
+    @pytest.mark.parametrize("value", [2.5, 50.7, math.nan, math.inf, "2", None])
+    def test_a_count_that_is_not_whole_is_named(self, name, call, value):
+        with pytest.raises(DomainError, match=f"^{name} must be a finite whole number"):
+            call(value)
+
+    def test_whole_floats_and_numpy_integers_count(self):
+        assert ks_pvalue(0.191, 50.0) == ks_pvalue(0.191, np.int64(50)) == ks_pvalue(0.191, 50)
+        assert info_criteria(10.0, 2.0, np.int32(50)) == info_criteria(10.0, 2, 50)
+
+
 def _fitted(name, values):
     spec = fit_competitor(name, values)
     return FittedModel(name=name, params=spec.as_dict(), k=spec.k,

@@ -302,7 +302,7 @@ def test_fit_reaches_scipys_optimum(law, n):
     p = [random_params(rng) for _ in range(8)][law]
     data = Dataset(sample(p, n, 1000 + 10 * law + n))
     ours = fit(data, FitConfig())
-    lo, hi = np.log(FitConfig().box).T
+    lo, hi = np.log(estimation._BOX).T
     fun = finite(estimation._Objective(data).value_grad)
     ref = min(sp.minimize(fun, np.clip(np.log(anchor), lo, hi), jac=True, method="L-BFGS-B",
                           bounds=list(zip(lo, hi)), options=TIGHT).fun

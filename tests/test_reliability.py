@@ -330,6 +330,24 @@ class TestOrderStatistics:
                 order_stat_pdf(GOMPERTZ, i, n, 1.0)
 
 
+class TestWholeNumberArguments:
+    @pytest.mark.parametrize("name, call", [
+        ("r", lambda v: raw_moment(GOMPERTZ, v)),
+        ("i", lambda v: order_stat_pdf(GOMPERTZ, v, 4, 1.0)),
+        ("n", lambda v: order_stat_pdf(GOMPERTZ, 1, v, 1.0)),
+    ], ids=["raw_moment-r", "order_stat_pdf-i", "order_stat_pdf-n"])
+    @pytest.mark.parametrize("value", [2.5, 3.7, math.nan, math.inf, "2", None])
+    def test_a_count_that_is_not_whole_is_named(self, name, call, value):
+        with pytest.raises(DomainError, match=f"^{name} must be a finite whole number"):
+            call(value)
+
+    def test_whole_floats_and_numpy_integers_count(self):
+        m2 = raw_moment(GOMPERTZ, 2)
+        assert raw_moment(GOMPERTZ, 2.0) == raw_moment(GOMPERTZ, np.int64(2)) == m2
+        f13 = order_stat_pdf(GOMPERTZ, 1, 3, 1.0)
+        assert order_stat_pdf(GOMPERTZ, 1.0, np.int32(3), 1.0) == f13
+
+
 class TestIntegralIdentities:
     def test_cdf_and_survival_partition_time(self):
         # integral of F over (0, t) = t - integral of R over (0, t)
