@@ -30,7 +30,7 @@ import numpy as np  # after the BLAS default above
 from . import distribution as dist
 from .datasets import load_values
 from .distribution import EgwgParams
-from .exceptions import DomainError, EgwgError
+from .exceptions import DomainError, EgwgError, _whole
 
 __all__ = ["main", "CurveGrid", "build_curve_grid"]
 
@@ -75,7 +75,7 @@ class CurveGrid:
 
 def build_curve_grid(p: EgwgParams, lo: float, hi: float, count: int,
                      spacing: str = "linear", with_mrl: bool = False) -> CurveGrid:
-    count = int(count)
+    count = _whole(count, "count")
     if count < 2 or not (0.0 < lo < hi):
         raise DomainError("need 0 < lo < hi and count >= 2")
     if spacing == "linear":
@@ -233,8 +233,9 @@ def _cmd_reliability(args) -> int:
             out["maintainability"] = reliability.maintainability(repair, np.array(ts)).tolist()
         out["mrl"] = [reliability.mean_residual_life(failure, t) for t in ts]
         # mean past life is undefined at t = 0; emit null there
-        out["mpl"] = [None if t == 0.0 else reliability.mean_past_life(failure, t)
-                      for t in ts]
+        past = iter(reliability.mean_past_life(failure, np.array([t for t in ts if t != 0.0]))
+                    .tolist())
+        out["mpl"] = [None if t == 0.0 else next(past) for t in ts]
     _emit(json.dumps(out, indent=2) + "\n", args.out)
     return EXIT_OK
 

@@ -545,11 +545,15 @@ def sample(p: EgwgParams, n: int, seed: int) -> np.ndarray:
     SeedSequence(seed)) is fixed as part of the I/O contract: identical seed
     and parameters always reproduce the identical sequence.  The quantile
     equation is solved for the whole batch by one Newton solve in log x (see
-    _batch_quantile), so the draws are bit-reproducible too.
+    _batch_quantile), so the draws are bit-reproducible too.  n and seed are
+    whole numbers, n >= 1 and seed >= 0; any other value raises DomainError
+    naming it.
     """
-    n = _whole(n, "n")
+    n, seed = _whole(n, "n"), _whole(seed, "seed")
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.Philox(seed))
     u = rng.random(n)
     return _batch_quantile(p, u)

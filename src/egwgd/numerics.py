@@ -98,27 +98,120 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray)
     return h * k, err
 
 
+def _layout(own: np.ndarray):
+    """(integrals, interval counts, row of each interval's integral, its place
+    in the row, rows(values)) of intervals grouped by owner in ascending order.
+
+    rows lays values out one integral per row, in their order, zero-padded
+    to the longest row; a single integral is one row, unpadded.
+    """
+    if own[0] == own[-1]:   # one open integral, as in every scalar call: no scatter
+        return own[:1], np.array([own.size]), np.zeros(own.size, dtype=np.intp), \
+            np.arange(own.size), lambda v: v[None, :]
+    counts = np.bincount(own)
+    ids = np.flatnonzero(counts)
+    counts = counts[ids]
+    seg = np.repeat(np.arange(ids.size), counts)
+    rank = np.arange(own.size) - (np.cumsum(counts) - counts)[seg]
+
+    def rows(v: np.ndarray) -> np.ndarray:
+        m = np.zeros((ids.size, counts.max()))
+        m[seg, rank] = v
+        return m
+
+    return ids, counts, seg, rank, rows
+
+
+def _adapt(fn, lo_i: np.ndarray, hi_i: np.ndarray, own: np.ndarray, name) -> np.ndarray:
+    """Integrals of ``fn`` over the unions of [lo_i, hi_i] of each owner, as an array.
+
+    ``own`` numbers the integral each starting interval belongs to, 0, 1, ...
+    in ascending order; ``name(k)`` says where integral k lies, for errors.
+    Each round splits intervals of every open integral, and ``fn`` gets the
+    nodes of all of them in one call.  Per integral the arithmetic is that of
+    one integral alone: its intervals keep their order, and their estimates
+    are summed, sorted and accumulated in a row of their own.
+    """
+    res, err = _gk21(fn, lo_i, hi_i)
+    out = np.empty(int(own[-1]) + 1)
+    while True:
+        ids, counts, seg, rank, rows = _layout(own)
+        total, bound = rows(res).sum(axis=1), rows(err).sum(axis=1)
+        finite = np.isfinite(total) & np.isfinite(bound)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise QuadratureAccuracyError(
+                f"non-finite quadrature estimate {float(total[j])!r} {name(ids[j])}",
+                estimate=float(total[j]), error_bound=float(bound[j]))
+        tol = _REL_TOL * np.abs(total)
+        done = bound <= tol
+        if done.any():
+            out[ids[done]] = total[done]
+            if done.all():
+                return out
+            live = ~done[seg]
+            own, lo_i, hi_i, res, err = own[live], lo_i[live], hi_i[live], res[live], err[live]
+            ids, counts, seg, rank, rows = _layout(own)
+            total, bound, tol = total[~done], bound[~done], tol[~done]
+        full = np.flatnonzero(counts >= _MAX_INTERVALS)
+        if full.size:
+            j = full[0]
+            raise QuadratureAccuracyError(
+                f"{_MAX_INTERVALS} subintervals reached with error bound "
+                f"{float(bound[j]):.3g} above the tolerance {float(tol[j]):.3g} {name(ids[j])}",
+                estimate=float(total[j]), error_bound=float(bound[j]))
+        # in each integral, largest errors first, until what stays unsplit
+        # sums to <= tol / 2
+        order = np.lexsort((-err, own))
+        unsplit = bound[:, None] - np.cumsum(rows(err[order]), axis=1)
+        n = np.minimum((unsplit > 0.5 * tol[:, None]).sum(axis=1) + 1,
+                       np.minimum(_MAX_INTERVALS - counts, counts))
+        chosen = rank < n[seg]
+        split, keep = order[chosen], order[~chosen]
+        mid = 0.5 * (lo_i[split] + hi_i[split])
+        new_lo = np.concatenate([lo_i[split], mid])
+        new_hi = np.concatenate([mid, hi_i[split]])
+        new_res, new_err = _gk21(fn, new_lo, new_hi)
+        # kept intervals first, then the halves, and each integral's together
+        own = np.concatenate([own[keep], own[split], own[split]])
+        lo_i = np.concatenate([lo_i[keep], new_lo])
+        hi_i = np.concatenate([hi_i[keep], new_hi])
+        res = np.concatenate([res[keep], new_res])
+        err = np.concatenate([err[keep], new_err])
+        if ids.size > 1:
+            grouped = np.argsort(own, kind="stable")
+            own, lo_i, hi_i = own[grouped], lo_i[grouped], hi_i[grouped]
+            res, err = res[grouped], err[grouped]
+
+
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
+    lo: float | np.ndarray,
+    hi: float | np.ndarray,
     *,
     scale: float = 1.0,
-) -> float:
+) -> float | np.ndarray:
     """Integrate ``f`` over ``(lo, hi)``; ``hi`` may be ``math.inf``.
+
+    With 1-d arrays of finite limits ``lo`` and ``hi``, of one length,
+    integrates ``f`` over each ``(lo[k], hi[k])`` and returns one value per
+    interval, as an array.  Each integral of a batch is held to the
+    tolerance of its own value within its own 2000-interval budget, exactly
+    as if it were integrated alone; the batch only shares the integrand
+    calls.  A batch of one returns the scalar call's value bit for bit.
 
     ``f`` takes a 1-d array of points and returns the integrand's values as
     an array of the same shape.  The engine is global-adaptive Gauss-Kronrod
     G10/K21: each round bisects the intervals with the largest error
     estimates, largest first, until the estimates left unsplit sum to at most
-    half the tolerance, and evaluates the 21 nodes of all new intervals in
-    one call of ``f``.  The error estimate of an interval is QUADPACK's
-    ``resasc * min(1, (200 |K21 - G10| / resasc)^1.5)``, floored at 50 ulp of
-    the rule's absolute sum.  The result is returned once the estimates sum
-    to at most ``1e-10 * |I|``.  There is no absolute tolerance: a tiny
-    integral is computed to the same relative accuracy as any other, and an
-    integral whose value is zero cannot meet the tolerance and raises
-    (unless ``f`` is zero at every node, when 0.0 is returned).
+    half the tolerance, and evaluates the 21 nodes of all new intervals, of
+    every integral still open, in one call of ``f``.  The error estimate of
+    an interval is QUADPACK's ``resasc * min(1, (200 |K21 - G10| / resasc)^1.5)``,
+    floored at 50 ulp of the rule's absolute sum.  An integral is returned
+    once its estimates sum to at most ``1e-10 * |I|``.  There is no absolute
+    tolerance: a tiny integral is computed to the same relative accuracy as
+    any other, and an integral whose value is zero cannot meet the tolerance
+    and raises (unless ``f`` is zero at every node, when 0.0 is returned).
 
     A semi-infinite upper limit is mapped onto the unit interval through
     ``x = lo + scale * u / (1 - u)``, integrated in u below u = 1/2 and in
@@ -129,29 +222,48 @@ def integrate(
     singularities are resolved by bisection towards them.
 
     Raises:
-        InvalidIntegrandError: ``f`` returned NaN inside the interval.
-        QuadratureAccuracyError: splitting further would exceed 2000
-            intervals, or the estimate is not finite; the error carries the
-            estimate and the error bound.
-        ValueError: ``f`` returned an array of another shape.
+        InvalidIntegrandError: ``f`` returned NaN inside an interval; the
+            error names the point and the interval.
+        QuadratureAccuracyError: splitting an integral further would exceed
+            2000 intervals, or its estimate is not finite; the error names
+            the interval and carries its estimate and error bound.
+        ValueError: ``f`` returned an array of another shape, or the limits
+            are out of order, or a batch's limits are not finite 1-d arrays
+            of one length.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if not (scale > 0.0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive and finite, got {scale}")
+    batch = np.ndim(lo) > 0 or np.ndim(hi) > 0
+    lo_a, hi_a = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
+    if batch and not (lo_a.ndim == 1 and lo_a.shape == hi_a.shape
+                      and np.isfinite(lo_a).all() and np.isfinite(hi_a).all()):
+        raise ValueError(f"batched limits must be finite 1-d arrays of one length, got "
+                         f"shapes {lo_a.shape} and {hi_a.shape}")
+    bad = ~(lo_a < hi_a)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"need lo < hi, got [{lo_a[k]}, {hi_a[k]}]")
+    if lo_a.size == 0:
+        return np.empty(0)
+
+    def name(k: int) -> str:
+        return f"on [{lo_a[k]}, {hi_a[k]}]" + (f" (interval {k} of the batch)" if batch else "")
 
     def checked(x: np.ndarray) -> np.ndarray:
         v = np.asarray(f(x), dtype=float)
         if v.shape != x.shape:
             raise ValueError(f"integrand returned shape {v.shape} for points of shape "
                              f"{x.shape}; it must return one value per point")
-        bad = np.isnan(v)
-        if bad.any():
-            raise InvalidIntegrandError(
-                f"integrand returned NaN at x={float(x[np.argmax(bad)])!r}")
+        nan = np.isnan(v)
+        if nan.any():
+            at = float(x[np.argmax(nan)])
+            k = int(np.argmax((lo_a <= at) & (at <= hi_a)))   # an interval holding the node
+            raise InvalidIntegrandError(f"integrand returned NaN at x={at!r} {name(k)}")
         return v
 
-    if math.isinf(hi):
+    if batch or not math.isinf(hi):
+        out = _adapt(checked, lo_a, hi_a, np.arange(lo_a.size), name)
+    else:
         # w = u for u <= 1/2 and w = u - 1 = -s for u > 1/2: the floats are
         # dense, and the nodes exact, both as x -> lo (w -> 0+) and as
         # x -> inf (w -> 0-)
@@ -170,39 +282,9 @@ def integrate(
                 # v = 0 where the Jacobian is huge: no 0 * inf
                 return np.where(v == 0.0, 0.0, v * scale / (s * s))
 
-        lo_i, hi_i, fn = np.array([-0.5, 0.0]), np.array([0.0, 0.5]), transformed
-    else:
-        lo_i, hi_i, fn = np.array([float(lo)]), np.array([float(hi)]), checked
-
-    res, err = _gk21(fn, lo_i, hi_i)
-    while True:
-        total, bound = float(np.sum(res)), float(np.sum(err))
-        if not (math.isfinite(total) and math.isfinite(bound)):
-            raise QuadratureAccuracyError(
-                f"non-finite quadrature estimate {total!r} on [{lo}, {hi}]",
-                estimate=total, error_bound=bound)
-        tol = _REL_TOL * abs(total)
-        if bound <= tol:
-            return total
-        room = _MAX_INTERVALS - res.size
-        if room <= 0:
-            raise QuadratureAccuracyError(
-                f"{_MAX_INTERVALS} subintervals reached with error bound "
-                f"{bound:.3g} above the tolerance {tol:.3g} on [{lo}, {hi}]",
-                estimate=total, error_bound=bound)
-        # largest errors first, until what stays unsplit sums to <= tol / 2
-        order = np.argsort(-err, kind="stable")
-        unsplit = bound - np.cumsum(err[order])
-        n = min(int(np.searchsorted(-unsplit, -0.5 * tol)) + 1, room, order.size)
-        split, keep = order[:n], order[n:]
-        mid = 0.5 * (lo_i[split] + hi_i[split])
-        new_lo = np.concatenate([lo_i[split], mid])
-        new_hi = np.concatenate([mid, hi_i[split]])
-        new_res, new_err = _gk21(fn, new_lo, new_hi)
-        lo_i = np.concatenate([lo_i[keep], new_lo])
-        hi_i = np.concatenate([hi_i[keep], new_hi])
-        res = np.concatenate([res[keep], new_res])
-        err = np.concatenate([err[keep], new_err])
+        out = _adapt(transformed, np.array([-0.5, 0.0]), np.array([0.0, 0.5]),
+                     np.zeros(2, dtype=int), name)
+    return out if batch else float(out[0])
 
 
 _X_OVERFLOW_GUARD = 1e300

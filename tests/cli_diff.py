@@ -7,9 +7,10 @@ midpoint-quantile sample of the law (0.001, 0.5, 0.3, 0.8, 0.5), and
 level (Aarset's fit prints none); ``fit`` with GED, GD, GIW and EGIW on a
 sample of ten 3s, where each search ends at its interval's edge, and a
 ``compare`` of ED, GED and GD there; then
-``sample``, ``curves --mrl``, ``reliability`` (with a repair law) and
-``eval`` on a bathtub, an increasing and a decreasing hazard, and ``eval``
-at each law's 1e-6, 1e-4 and 1e-2 quantiles, its left tail; and four
+``sample``, ``curves --mrl`` (linear and log spacing), ``reliability``
+(with a repair law, and without one at t = 0 and at unsorted, repeated t)
+and ``eval`` on a bathtub, an increasing and a decreasing hazard, and
+``eval`` at each law's 1e-6, 1e-4 and 1e-2 quantiles, its left tail; and four
 commands that fail (an unknown model to ``fit`` and to ``compare``,
 ``sample --n 0`` and ``eval`` at a negative point), so their exit statuses
 and messages are compared too; and ``--help`` of the top-level parser and
@@ -26,12 +27,14 @@ Run it from the repository root (pytest does not collect this file):
     python tests/cli_diff.py --parent OTHER_TREE/src
 
 It prints "identical" or "differs" for each command, with the first
-differing line of its stdout and of its stderr, and exits 1 if any command
-differs.
+differing line of its stdout and of its stderr (and, where only numbers
+differ, how many and by how much at most, relative), and exits 1 if any
+command differs.
 """
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -97,8 +100,13 @@ def commands(midpoint_file: str, constant_file: str) -> list:
             (f"sample {name}", ["sample", *_flags(p), "--n", "100000", "--seed", "7"]),
             (f"curves --mrl {name}", ["curves", *_flags(p), f"--lo={lo:.6g}", f"--hi={hi:.6g}",
                                       "--count", "100", "--mrl"]),
+            (f"curves --mrl --spacing log {name}",
+             ["curves", *_flags(p), f"--lo={lo:.6g}", f"--hi={hi:.6g}", "--count", "100",
+              "--spacing", "log", "--mrl"]),
             (f"reliability {name}", ["reliability", *_flags(p), *_flags(REPAIR, "--repair-"),
                                      "--t", _points(p, [0.05, 0.25, 0.5, 0.75, 0.95])]),
+            (f"reliability {name} unsorted t", ["reliability", *_flags(p), "--t",
+                                                "0," + _points(p, [0.75, 0.05, 0.5, 0.05])]),
             (f"eval {name}", ["eval", *_flags(p),
                               "--x", _points(p, [0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999])]),
             (f"eval left tail {name}", ["eval", *_flags(p), "--x", _points(p, [1e-6, 1e-4, 1e-2])]),
@@ -134,6 +142,20 @@ def _first_difference(a: str, b: str) -> str:
     return ""
 
 
+NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+
+
+def _number_difference(a: str, b: str) -> str:
+    """How far the numbers of a and b differ, when nothing else does."""
+    if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+        return ""
+    x, y = (np.array(NUMBER.findall(t), dtype=float) for t in (a, b))
+    diff = x != y
+    rel = np.abs(x - y)[diff] / np.maximum(np.abs(x), np.abs(y))[diff]
+    return (f"    only numbers differ: {int(diff.sum())} of {x.size}, by at most "
+            f"{rel.max():.3g} relative")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="the other tree's src directory")
@@ -157,6 +179,8 @@ def main(argv=None):
                 for name, a, b in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):
                     if a != b:
                         print(f"  {name}\n{_first_difference(a, b)}")
+                        if numbers := _number_difference(a, b):
+                            print(numbers)
     print(f"{differ} of {len(cmds)} commands differ")
     return 1 if differ else 0
 

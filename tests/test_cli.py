@@ -8,13 +8,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from egwgd import EgwgParams, cdf, hazard, mttf, pdf, reliability, sample, survival
-from egwgd.cli import CurveGrid, main
+from egwgd.cli import CurveGrid, build_curve_grid, main
 from egwgd.exceptions import DomainError, StencilError
 from conftest import PRINTED_MLE
 
 PRINTED_FLAGS = ["--a", "0.000085", "--b", "0.128", "--c", "0.401",
                  "--d", "0.69901", "--theta", "0.246"]
 GOMPERTZ_FLAGS = ["--a", "1", "--b", "0", "--c", "1", "--d", "1", "--theta", "1"]
+GOMPERTZ_LAW = EgwgParams(1, 0, 1, 1, 1)
 
 
 def run(capsys, *argv):
@@ -229,6 +230,17 @@ class TestCurvesCommand:
         assert out == "x,pdf,cdf,survival,hazard,mrl\n" + "".join(
             ",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*columns))
 
+    @pytest.mark.parametrize("count", [3.7, 2.5, math.nan, "3"])
+    def test_a_count_that_is_not_whole_is_named(self, count):
+        with pytest.raises(DomainError, match="^count must be a finite whole number"):
+            build_curve_grid(GOMPERTZ_LAW, 1.0, 2.0, count)
+
+    def test_whole_float_and_numpy_integer_counts(self):
+        want = build_curve_grid(GOMPERTZ_LAW, 1.0, 2.0, 3)
+        assert len(want.rows) == 3
+        assert build_curve_grid(GOMPERTZ_LAW, 1.0, 2.0, 3.0) == want
+        assert build_curve_grid(GOMPERTZ_LAW, 1.0, 2.0, np.int64(3)) == want
+
     def test_ragged_grid_rows_are_rejected(self):
         # to_csv formats the rows as one flat list, so every row needs the same width
         row = (0.5, 0.1, 0.4, 0.6, 0.2)
@@ -312,6 +324,27 @@ class TestReliabilityCommand:
         assert payload["maintainability"][0] == 0.0
         assert payload["mpl"][0] is None
         assert payload["mpl"][1] > 0.0
+
+    def test_mean_past_life_is_one_call_over_the_positive_t(self, capsys, monkeypatch):
+        calls = []
+        real = reliability.mean_past_life
+
+        def counted(p, t):
+            calls.append(np.array(t))
+            return real(p, t)
+
+        monkeypatch.setattr(reliability, "mean_past_life", counted)
+        ts = [0.9, 0.0, 0.3, 0.9, 1.5]
+        code, out, _ = run(capsys, "reliability", *GOMPERTZ_FLAGS,
+                           "--t", ",".join(map(str, ts)))
+        assert code == 0
+        assert len(calls) == 1 and calls[0].tolist() == [0.9, 0.3, 0.9, 1.5]
+        payload = json.loads(out)
+        assert payload["t"] == ts and payload["mpl"][1] is None
+        for t, got, mrl in zip(ts, payload["mpl"], payload["mrl"]):
+            if t > 0.0:
+                assert_allclose(got, real(GOMPERTZ_LAW, t), rtol=1e-12)
+            assert mrl == reliability.mean_residual_life(GOMPERTZ_LAW, t)
 
     def test_mrl_consistent_with_curves(self, capsys):
         code, out, _ = run(capsys, "reliability", *GOMPERTZ_FLAGS, "--t", "1.0")

@@ -668,6 +668,19 @@ class TestSample:
         assert np.array_equal(sample(GOMPERTZ, 3.0, 1), want)
         assert np.array_equal(sample(GOMPERTZ, np.int64(3), 1), want)
 
+    @pytest.mark.parametrize("seed, message", [
+        (2.5, "^seed must be a finite whole number"),
+        (-1, "^seed must be >= 0, got -1"),
+    ])
+    def test_a_seed_that_is_not_whole_or_is_negative_is_named(self, seed, message):
+        with pytest.raises(DomainError, match=message):
+            sample(GOMPERTZ, 3, seed)
+
+    def test_whole_float_and_numpy_integer_seeds_draw_as_ints(self):
+        want = sample(GOMPERTZ, 3, 7)
+        assert sample(GOMPERTZ, 3, 7.0).tobytes() == want.tobytes()
+        assert sample(GOMPERTZ, 3, np.int64(7)).tobytes() == want.tobytes()
+
 
 class TestNormalization:
     def test_density_integrates_to_one(self):

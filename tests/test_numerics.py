@@ -67,6 +67,79 @@ class TestIntegrate:
             integrate(np.ones_like, 1.0, 0.0)
 
 
+class TestBatchedIntegrate:
+    def test_monomials_are_exact_on_each_interval(self):
+        lo = np.array([0.0, 0.5, 1.0, 2.0, -3.0])
+        hi = np.array([1.0, 0.75, 4.0, 2.001, -1.0])
+        for k in range(20):
+            got = integrate(lambda x: x ** k, lo, hi)
+            want = (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+            assert got.shape == lo.shape
+            assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=f"degree {k}")
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0),          # splits towards 0 for 60 rounds
+        (lambda x: np.sin(30.0 * x) ** 2, 1e-9, 10.0),
+        (lambda x: np.abs(x - 0.3) ** 0.5, 0.0, 1.0),
+        (lambda x: np.exp(-x), 0.1, 0.2),
+    ])
+    def test_a_batch_of_one_is_the_scalar_call_bit_for_bit(self, f, lo, hi):
+        got = integrate(f, np.array([lo]), np.array([hi]))
+        assert got.shape == (1,)
+        assert got[0].tobytes() == np.float64(integrate(f, lo, hi)).tobytes()
+
+    def test_each_integral_meets_its_own_tolerance(self):
+        # values 13 decades apart, one needing many rounds: each is held to
+        # 1e-10 of its own value, as when integrated alone
+        f = lambda x: 1.0 / np.sqrt(x)
+        lo, hi = np.array([0.0, 1.0, 4e26]), np.array([1.0, 4.0, 9e26])
+        got = integrate(f, lo, hi)
+        alone = [integrate(f, a, b) for a, b in zip(lo, hi)]
+        assert_allclose(got, alone, rtol=1e-14, atol=0.0)
+        assert_allclose(got, 2.0 * (np.sqrt(hi) - np.sqrt(lo)), rtol=1e-10, atol=0.0)
+
+    def test_the_batch_calls_the_integrand_once_per_round(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return 1.0 / np.sqrt(x)
+
+        integrate(f, np.array([0.0, 2.0]), np.array([1.0, 3.0]))
+        # round 0 holds both intervals; after that only (0, 1) is open
+        assert calls[0] == 2 * 21 and all(n % 21 == 0 for n in calls)
+        alone = []
+        integrate(lambda x: alone.append(x.size) or 1.0 / np.sqrt(x), 0.0, 1.0)
+        assert len(calls) == len(alone)
+
+    def test_empty_batch(self):
+        got = integrate(np.ones_like, np.array([]), np.array([]))
+        assert got.shape == (0,)
+
+    def test_nan_names_the_interval(self):
+        with pytest.raises(InvalidIntegrandError, match=r"on \[4\.0, 6\.0\] \(interval 1 of"):
+            integrate(lambda x: np.where(x > 5.0, np.nan, 1.0),
+                      np.array([0.0, 4.0]), np.array([1.0, 6.0]))
+
+    def test_accuracy_failure_names_the_interval(self):
+        with pytest.raises(QuadratureAccuracyError,
+                           match=r"on \[1e-09, 1000000\.0\] \(interval 1 of") as err:
+            integrate(lambda x: np.sin(200.0 * x) ** 2 / np.sqrt(x),
+                      np.array([0.0, 1e-9]), np.array([1.0, 1e6]))
+        assert math.isfinite(err.value.estimate)
+        assert err.value.error_bound > 0.0
+
+    @pytest.mark.parametrize("lo, hi", [
+        (np.array([0.0, 1.0]), np.array([1.0])),          # lengths differ
+        (np.zeros((2, 2)), np.ones((2, 2))),               # not 1-d
+        (np.array([0.0]), np.array([math.inf])),           # not finite
+        (np.array([0.0, 2.0]), np.array([1.0, 1.0])),      # out of order
+    ])
+    def test_bad_limits(self, lo, hi):
+        with pytest.raises(ValueError):
+            integrate(np.ones_like, lo, hi)
+
+
 class TestFindRoot:
     def test_identity(self):
         assert_allclose(find_root_increasing(lambda x: x, 2.0), 2.0, rtol=1e-12)

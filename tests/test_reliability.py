@@ -37,6 +37,13 @@ from egwgd.exceptions import (
 from conftest import BOX_LAWS, PRINTED_MLE, OracleError, quad, random_params
 
 GOMPERTZ = EgwgParams(1.0, 0.0, 1.0, 1.0, 1.0)
+# a Gompertz law with mean 408
+WIDE = EgwgParams(0.01, 0.0, 0.01, 1.0, 1.0)
+# the benchmark's bathtub, increasing and decreasing hazards, and its repair law
+SWEEP_LAWS = [EgwgParams(0.000085, 0.128, 0.401, 0.69901, 0.246),
+              EgwgParams(0.5, 0.2, 0.3, 0.5, 1.5),
+              EgwgParams(3.0, 0.1, 0.5, 0.3, 0.6),
+              EgwgParams(0.3, 0.2, 0.9, 1.0, 1.5)]
 # e * E1(1), evaluated with 50-digit arithmetic before the build
 GOMPERTZ_MEAN = 0.5963473623231941
 
@@ -243,8 +250,45 @@ class TestMeanResidualLife:
                             lambda *a: solves.append(a) or real(*a))
         got = mean_residual_life(p, ts)
         assert len(solves) == 1
-        assert got.shape == ts.shape and list(got) == scalar
+        # the array is swept once over gap integrals, so it matches the
+        # per-t integrals to rounding, not bit for bit
+        assert got.shape == ts.shape
+        assert_allclose(got, scalar, rtol=1e-12, atol=0.0)
         assert type(mean_residual_life(p, ts[1])) is float
+
+    @pytest.mark.parametrize("p", SWEEP_LAWS)
+    def test_an_array_with_zero_matches_mttf(self, p):
+        m = mttf(p)
+        assert m == mean_residual_life(p, 0.0)
+        got = mean_residual_life(p, np.array([quantile(p, 0.5), 0.0, quantile(p, 0.9)]))
+        assert abs(got[1] - m) <= 1e-10 * m
+
+    @pytest.mark.parametrize("p", SWEEP_LAWS)
+    def test_array_shapes_and_order(self, p):
+        ts = np.array([[quantile(p, 0.7), 0.0], [quantile(p, 0.2), quantile(p, 0.7)]])
+        got = mean_residual_life(p, ts)
+        assert got.shape == (2, 2) and got[0, 0] == got[1, 1]
+        want = [[mean_residual_life(p, float(t)) for t in row] for row in ts]
+        assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert mean_residual_life(p, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("p, ts", [
+        # R(t) = e^-(e^t - 1) falls to 1.5e-306 at the last t
+        (GOMPERTZ, np.log1p([600.0, 650.0, 700.0, 704.0])),
+        # the mean is 408 and R falls to 2.4e-307: scaled by R(t_N) alone, the
+        # first gap's integral would overflow
+        (WIDE, [0.0, 50.0, math.log1p(706.0 / 0.01) / 0.01]),
+        (GOMPERTZ, [0.0, 1e-300, 1e-200, math.log1p(704.0)]),
+    ])
+    def test_array_where_survival_nears_the_smallest_normal(self, p, ts):
+        want = [mean_residual_life(p, float(t)) for t in ts]
+        assert_allclose(mean_residual_life(p, np.array(ts)), want, rtol=1e-12, atol=0.0)
+
+    def test_array_rejects_what_a_scalar_rejects(self):
+        with pytest.raises(DomainError, match="t >= 0, got -1.0"):
+            mean_residual_life(GOMPERTZ, np.array([1.0, -1.0]))
+        with pytest.raises(TailOverflowError, match="smallest normal float"):
+            mean_residual_life(GOMPERTZ, np.array([1.0, math.log(741.0)]))
 
     def test_subnormal_survival_rejected(self):
         # Gompertz R(ln 741) = e^-740, a subnormal float
@@ -295,6 +339,35 @@ class TestMeanPastLife:
         # F(t) ~ t is normal here, but the integral of F, ~ t^2 / 2, underflows
         t = 9.86e-305
         assert abs(mean_past_life(GOMPERTZ, t) / t - 0.5) <= 1e-12
+
+    @pytest.mark.parametrize("p", SWEEP_LAWS)
+    def test_array_matches_the_scalar_calls(self, p):
+        ts = np.array([quantile(p, q) for q in (0.9, 0.05, 0.5, 0.05, 0.999)])
+        want = [mean_past_life(p, float(t)) for t in ts]
+        got = mean_past_life(p, ts)
+        assert got.shape == ts.shape and got[1] == got[3]
+        assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert type(mean_past_life(p, ts[:1].reshape(()))) is float
+
+    @pytest.mark.parametrize("p, ts", [
+        # F(t) ~ t near 0, so F(t_1) is near 1e-305
+        (GOMPERTZ, [1e-305, 3e-305, 1e-300, 0.5]),
+        # P(t_1) F(t_1) ~ 1e-605 and the widest gap's integral ~ 500
+        (WIDE, [1e-300, 2.0, 50.0, 500.0, math.log1p(706.0 / 0.01) / 0.01]),
+        (WIDE, [1e-290, 2e-290, 1.0]),
+        # P(t) F(t) ~ 5e-601, with and without a gap
+        (GOMPERTZ, [1e-300]),
+        (GOMPERTZ, [1e-300, 2e-300]),
+    ])
+    def test_array_where_the_cdf_nears_the_smallest_normal(self, p, ts):
+        want = [mean_past_life(p, float(t)) for t in ts]
+        assert_allclose(mean_past_life(p, np.array(ts)), want, rtol=1e-12, atol=0.0)
+
+    def test_array_rejects_what_a_scalar_rejects(self):
+        with pytest.raises(DomainError, match="t > 0, got 0.0"):
+            mean_past_life(GOMPERTZ, np.array([1.0, 0.0]))
+        with pytest.raises(LeftTailUnderflowError, match="smallest normal float"):
+            mean_past_life(GOMPERTZ, np.array([1.0, 1e-320]))
 
 
 class TestOrderStatistics:
@@ -395,6 +468,36 @@ class TestGaussKronrodRule:
         nodes = 0.5 + 0.5 * numerics._GK21_X
         for k in range(20):
             assert abs(0.5 * (numerics._GK21_WG @ nodes ** k) - 1.0 / (k + 1)) <= 1e-14, k
+
+
+class TestSweepAgainstTheOracle:
+    @settings(max_examples=25)
+    @given(BOX_LAWS, st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=4))
+    @example(PRINTED_MLE, [0.9, 0.1, 0.5])
+    def test_array_columns_agree_with_the_oracle(self, p, qs):
+        try:
+            ts = np.array([quantile(p, q) for q in qs])
+        except EgwgError:
+            return
+        # unsorted, with a repeat, and for MRL with t = 0
+        t_past = np.append(ts[::-1], ts[0])
+        t_res = np.insert(t_past, 1, 0.0)
+        want = {t: oracle(p, t) for t in ts.tolist()}   # (MTTF, MRL(t), MPL(t))
+        want[0.0] = (None, want[ts[0]][0], None)
+        for fn, t in ((mean_residual_life, t_res), (mean_past_life, t_past)):
+            try:
+                got = fn(p, t)
+            except EgwgError:
+                # the sweep raises only where one of its per-t calls raises
+                with pytest.raises(EgwgError):
+                    for ti in t:
+                        fn(p, float(ti))
+                continue
+            column = 1 if fn is mean_residual_life else 2
+            for ti, g in zip(t.tolist(), got):
+                w = want[ti][column]
+                if w is not None:
+                    assert abs(g - w) <= 1e-9 * abs(w), (fn.__name__, ti, g, w)
 
 
 class TestRoundOffNearZero:
