@@ -16,7 +16,7 @@ gradient write every intermediate into the workspace's arrays, so an
 evaluation allocates no array of the data's length.  The public functions
 here (loglik, loglik_grad, profile_theta) run the same code with fresh
 arrays, and the curvature step runs loglik's in a workspace of its own.
-fit frees the objective's workspace once its L-BFGS-B runs are done.
+The search frees the objective's workspace once its L-BFGS-B runs are done.
 
 The fit's restarts, each a generator that owns its retry, run in
 lock-step (``optimize._lockstep``): each round the objective evaluates the
@@ -31,7 +31,11 @@ each run still makes exactly the iterations it would make alone.
 The optimisers are the package's own (``optimize``): L-BFGS-B for the
 four-parameter search, and the ports of scipy's brentq and bounded Brent
 for the Weibull-shape anchor and the competitor fits, so a fit loads no
-scipy.  The Wald z comes from ``statistics.NormalDist``.
+scipy.  The Wald z comes from ``numerics._norm_ppf``, the package's port
+of AS241, so a fit loads no ``statistics``.
+
+fit is the multistart search (_search) followed by the curvature step;
+the CLI's ``compare``, which prints no curvature, runs the search alone.
 
 The likelihood of this family is unbounded along degenerate spike ridges
 (b, d large) and improves toward the c -> 0 boundary closure on some data
@@ -45,7 +49,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import astuple, dataclass
-from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +65,7 @@ from .exceptions import (
     StencilError,
     _whole,
 )
-from .numerics import numerical_hessian
+from .numerics import _norm_ppf, numerical_hessian
 from .optimize import _lbfgsb, _lockstep, _projgr, _tenable, brentq
 from .optimize import minimize  # noqa: F401  (perfbench's tracer wraps this name)
 
@@ -403,8 +407,20 @@ def _anchors(x: np.ndarray, n_restarts: int) -> list:
     return out[:n_restarts]
 
 
+class _Terminus(NamedTuple):
+    """The search's chosen terminus and its diagnostics, all fit reports but the curvature."""
+
+    params: EgwgParams
+    loglik: float
+    converged: bool
+    n_evals: int
+    restarts_used: int
+
+
 def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
-    """Multistart maximum-likelihood fit with theta profiled out.
+    """Multistart maximum-likelihood fit with theta profiled out, with the
+    observed information's inverse as covariance and Wald intervals at
+    ``config.ci_level`` at the terminus of the search (_search).
 
     Each restart runs gradient-based L-BFGS-B (``optimize._lbfgsb``, the
     package's port of scipy's), capped at ``optimize._LBFGSB_MAX_ITER``
@@ -434,6 +450,35 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
     its evaluation count and message.
     """
     cfg = config or FitConfig()
+    best = _search(data, cfg)
+
+    # curvature can be uncomputable at a box-clamped terminus (a stencil may
+    # step outside the positive orthant); report NaNs rather than fail
+    try:
+        info = observed_information(best.params, data)
+        try:
+            cov = np.linalg.inv(info)
+        except np.linalg.LinAlgError:
+            cov = np.linalg.pinv(info)
+        cov = 0.5 * (cov + cov.T)
+    except (StencilError, InvalidParametersError):
+        cov = np.full((5, 5), np.nan)
+
+    result = FitResult(params=best.params, loglik=best.loglik, covariance=cov, intervals=None,
+                       level=cfg.ci_level, converged=best.converged, n_evals=best.n_evals,
+                       restarts_used=best.restarts_used)
+    try:
+        result.intervals = confidence_intervals(result)
+        result.below_zero = tuple(
+            name for name, (lo, _) in result.intervals.items() if lo < 0.0)
+    except DegenerateInformationError:
+        result.intervals = None
+    return result
+
+
+def _search(data: Dataset, cfg: FitConfig) -> _Terminus:
+    """fit's multistart search with cfg.n_restarts restarts (see fit); it frees
+    the objective's workspace on return."""
     if data.n < 5:
         raise DomainError("the five-parameter fit needs n >= 5")
     obj = _Objective(data)
@@ -447,7 +492,6 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
 
     anchors = _anchors(data.values, cfg.n_restarts)
     runs = _lockstep([restart(np.log(a)) for a in anchors], obj.value_grad)
-    del obj   # frees the objective's workspace before the curvature
 
     termini = []   # per restart: (its best run's result, whether that is stationary)
     for k, (r1, *retry) in enumerate(runs, start=1):
@@ -468,32 +512,10 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitResult:
             "excludes every tenable parameter scale")
 
     a, b, c, d = np.exp(best.x)
-    theta = profile_theta(a, b, c, d, data)
-    params = EgwgParams(a, b, c, d, theta)
-    ll = -float(best.fun)   # the objective's value at the terminus is -loglik there
-
-    # curvature can be uncomputable at a box-clamped terminus (a stencil may
-    # step outside the positive orthant); report NaNs rather than fail
-    try:
-        info = observed_information(params, data)
-        try:
-            cov = np.linalg.inv(info)
-        except np.linalg.LinAlgError:
-            cov = np.linalg.pinv(info)
-        cov = 0.5 * (cov + cov.T)
-    except (StencilError, InvalidParametersError):
-        cov = np.full((5, 5), np.nan)
-
-    result = FitResult(params=params, loglik=ll, covariance=cov, intervals=None,
-                       level=cfg.ci_level, converged=converged,
-                       n_evals=sum(r.nfev for rs in runs for r in rs), restarts_used=len(termini))
-    try:
-        result.intervals = confidence_intervals(result)
-        result.below_zero = tuple(
-            name for name, (lo, _) in result.intervals.items() if lo < 0.0)
-    except DegenerateInformationError:
-        result.intervals = None
-    return result
+    return _Terminus(params=EgwgParams(a, b, c, d, profile_theta(a, b, c, d, data)),
+                     loglik=-float(best.fun),   # the objective's value there is -loglik
+                     converged=converged, n_evals=sum(r.nfev for rs in runs for r in rs),
+                     restarts_used=len(termini))
 
 
 def observed_information(p: EgwgParams, data: Dataset) -> np.ndarray:
@@ -521,7 +543,7 @@ def confidence_intervals(fit_result: FitResult) -> dict:
     """
     if not (0.0 < fit_result.level < 1.0):
         raise DomainError(f"confidence level must be in (0, 1), got {fit_result.level}")
-    z = NormalDist().inv_cdf(0.5 + fit_result.level / 2.0)
+    z = _norm_ppf(0.5 + fit_result.level / 2.0)
     diag = np.diag(np.asarray(fit_result.covariance, dtype=float))
     out = {}
     for name, m, v in zip(PARAM_ORDER, astuple(fit_result.params), diag):

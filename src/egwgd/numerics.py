@@ -1,7 +1,8 @@
 """Shared numerical kernels.
 
 Adaptive quadrature on finite and semi-infinite intervals, bracketed root
-finding for strictly monotone functions, and finite-difference Hessians.
+finding for strictly monotone functions, finite-difference Hessians and
+the standard normal quantile.
 The quadrature engine is global-adaptive Gauss-Kronrod G10/K21 in numpy,
 the rule and error estimate of QUADPACK's qk21; its integrands take and
 return arrays.  Every integral is computed to one purely relative
@@ -10,7 +11,9 @@ errors instead of returning an estimate whose error bound misses it, so an
 integral whose value is zero raises.  Root finding closes its bracket with
 Brent's method (the package's port of scipy's ``brentq`` in ``optimize``,
 imported inside the function that calls it); this module owns the interval
-transformation, bracketing, error policy and stencil logic.
+transformation, bracketing, error policy and stencil logic.  The normal
+quantile is Wichura's AS241, so no caller loads ``statistics`` (with
+``fractions`` and ``decimal``) for it.
 """
 
 from __future__ import annotations
@@ -369,3 +372,58 @@ def numerical_hessian(f: Callable[[np.ndarray], float], point: Sequence[float]) 
                        - ev(p - e[i] + e[j], (i, j)) + ev(p - e[i] - e[j], (i, j)))
                 H[i, j] = H[j, i] = val / (4.0 * h[i] * h[j])
     return H
+
+
+# Wichura's AS241 (PPND16; Wichura, Appl. Stat. 37, 477, 1988): (numerator,
+# denominator) coefficients, highest power first, of its three rational
+# approximations: in r = 0.180625 - q^2 where |q| = |p - 0.5| <= 0.425, and
+# beyond, with s = sqrt(-log(min(p, 1 - p))), in s - 1.6 where s <= 5 and in
+# s - 5 past it
+_PPND16_CENTRAL = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0))
+_PPND16_NEAR = (
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+     1.2704582524523683826e+0, 3.6478483247632046050e+0, 5.7694972214606914055e+0,
+     4.6303378461565452959e+0, 1.4234371107496835773e+0),
+    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
+     2.0531916266377588219e+0, 1.0))
+_PPND16_FAR = (
+    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
+     5.4637849111641143699e+0, 6.6579046435011037772e+0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+     7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+     5.9983220655588793769e-1, 1.0))
+
+
+def _ratio(coeffs, r: float, scale: float = 1.0) -> float:
+    """num(r) * scale / den(r) of one (numerator, denominator) pair, each by Horner's rule."""
+    num, den = coeffs
+    top = bottom = 0.0
+    for c in num:
+        top = top * r + c
+    for c in den:
+        bottom = bottom * r + c
+    return top * scale / bottom
+
+
+def _norm_ppf(p: float) -> float:
+    """The standard normal quantile at p in (0, 1), by AS241 (about 1e-16 relative).
+
+    Each operation is the one ``statistics.NormalDist().inv_cdf`` makes, so
+    the two agree bit for bit; p outside (0, 1) raises its ValueError.
+    """
+    if p <= 0.0 or p >= 1.0:
+        raise ValueError("p must be in the range 0.0 < p < 1.0")
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        return _ratio(_PPND16_CENTRAL, 0.180625 - q * q, q)
+    r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
+    x = _ratio(_PPND16_NEAR, r - 1.6) if r <= 5.0 else _ratio(_PPND16_FAR, r - 5.0)
+    return -x if q < 0.0 else x

@@ -28,8 +28,8 @@ An L-BFGS-B run is a generator (``_lbfgsb``): it yields each point it
 needs evaluated and is sent the objective's value and gradient there.  One
 driver, ``_lockstep``, runs any number of such generators: each round, the
 points they ask for are the rows of one block, evaluated together.
-``minimize`` is a pool of one run; ``estimation.fit`` pools its restarts,
-each a generator that owns its retry.
+``minimize`` is a pool of one run; ``estimation._search`` pools fit's
+restarts, each a generator that owns its retry.
 
 Nothing here is public API: ``estimation`` and ``submodels`` import it,
 and ``numerics.find_root_increasing`` and ``distribution.mode`` import

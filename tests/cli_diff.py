@@ -13,13 +13,16 @@ and ``eval`` on a bathtub, an increasing and a decreasing hazard, and
 ``eval`` at each law's 1e-6, 1e-4 and 1e-2 quantiles, its left tail; and four
 commands that fail (an unknown model to ``fit`` and to ``compare``,
 ``sample --n 0`` and ``eval`` at a negative point), so their exit statuses
-and messages are compared too; and ``--help`` of the top-level parser and
-of each command.  These laws restate the benchmark's own, and every input
-is made here with numpy alone, so neither tree's package shapes what the
-other is given.
+and messages are compared too; one ``sample --n 100000`` whose stdout
+reader closes after the first line, so the status and message of a write
+that fails part way are compared as well; and ``--help`` of the top-level
+parser and of each command: 57 commands in all.  These laws restate the
+benchmark's own, and every input is made here with numpy alone, so neither
+tree's package shapes what the other is given.
 
-Each command runs as ``python -m egwgd.cli`` with OPENBLAS_NUM_THREADS=1,
-once with the package from --parent and once from this tree's ``src``.
+Each command runs as ``python -m egwgd.cli`` with OPENBLAS_NUM_THREADS=1
+and buffered stdio (PYTHONUNBUFFERED unset, as in a plain shell), once
+with the package from --parent and once from this tree's ``src``.
 A command is identical when its stdout, stderr and exit status are.
 
 Run it from the repository root (pytest does not collect this file):
@@ -55,6 +58,7 @@ LAWS = {
     "decreasing": (3.0, 0.1, 0.5, 0.3, 0.6),
 }
 REPAIR = (0.3, 0.2, 0.9, 1.0, 1.5)
+HEAD = " | head -n 1"   # label suffix of a command whose stdout reader closes after one line
 
 
 def quantile(p, u):
@@ -117,6 +121,8 @@ def commands(midpoint_file: str, constant_file: str) -> list:
          ["compare", "--data", "aarset", "--models", "ed,cauchy"]),
         ("sample --n 0 (error)", ["sample", *_flags(LAWS["bathtub"]), "--n", "0", "--seed", "7"]),
         ("eval bathtub --x 0,-1 (error)", ["eval", *_flags(LAWS["bathtub"]), "--x", "0,-1"]),
+        (f"sample bathtub --n 100000{HEAD}",
+         ["sample", *_flags(LAWS["bathtub"]), "--n", "100000", "--seed", "7"]),
         ("--help", ["--help"]),
     ]
     cmds += [(f"{c} --help", [c, "--help"])
@@ -124,12 +130,21 @@ def commands(midpoint_file: str, constant_file: str) -> list:
     return cmds
 
 
-def run(src: str, argv: list, cwd: str) -> tuple:
+def run(src: str, argv: list, cwd: str, first_line: bool = False) -> tuple:
+    """(exit status, stdout, stderr) of one command; with first_line, stdout is
+    read up to its first newline and then closed, so later writes fail."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1",
                PYTHONDONTWRITEBYTECODE="1")
-    r = subprocess.run([sys.executable, "-m", "egwgd.cli", *argv], cwd=cwd, env=env,
-                       capture_output=True, text=True)
-    return r.returncode, r.stdout, r.stderr
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen([sys.executable, "-m", "egwgd.cli", *argv], cwd=cwd, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        if first_line:
+            out = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        else:
+            out, err = proc.communicate()
+    return proc.returncode, out, err
 
 
 def _first_difference(a: str, b: str) -> str:
@@ -171,7 +186,8 @@ def main(argv=None):
             fh.write("3\n" * CONSTANT_N)
         cmds = commands(midpoint_file, constant_file)
         for label, cmd in cmds:
-            old, new = run(args.parent, cmd, tmp), run(HERE_SRC, cmd, tmp)
+            head = label.endswith(HEAD)
+            old, new = run(args.parent, cmd, tmp, head), run(HERE_SRC, cmd, tmp, head)
             print(f"{'identical' if old == new else 'differs':9}  {label}", flush=True)
             if old != new:
                 differ += 1

@@ -1,7 +1,12 @@
 import csv
+import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ PRINTED_FLAGS = ["--a", "0.000085", "--b", "0.128", "--c", "0.401",
                  "--d", "0.69901", "--theta", "0.246"]
 GOMPERTZ_FLAGS = ["--a", "1", "--b", "0", "--c", "1", "--d", "1", "--theta", "1"]
 GOMPERTZ_LAW = EgwgParams(1, 0, 1, 1, 1)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -154,6 +160,40 @@ class TestCompareCommand:
         code2, out2, _ = run(capsys, "fit", "--data", "aarset", "--model", "ed")
         fit_payload = json.loads(out2)
         assert_allclose(float(rows[0]["neg_loglik"]), -fit_payload["loglik"], rtol=1e-12)
+
+    def test_computes_no_egwgd_curvature(self, capsys, monkeypatch):
+        # compare runs fit's search alone: the same terminus, and no observed information
+        from egwgd import estimation
+
+        code, out, _ = run(capsys, "fit", "--data", "aarset", "--model", "egwgd",
+                           "--restarts", "2")
+        assert code == 0
+        fitted = json.loads(out)
+
+        def spy(p, data):
+            raise AssertionError("compare computed the observed information")
+
+        monkeypatch.setattr(estimation, "observed_information", spy)
+        code, out, _ = run(capsys, "compare", "--data", "aarset", "--models", "egwgd",
+                           "--restarts", "2")
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert json.loads(row["mle_json"]) == fitted["params"]
+        assert float(row["neg_loglik"]) == -fitted["loglik"]
+
+    def test_an_unconverged_egwgd_search_exits_two(self, capsys, monkeypatch):
+        from egwgd import estimation
+        real_search = estimation._search
+
+        def unconverged(data, cfg):
+            return real_search(data, cfg)._replace(converged=False)
+
+        monkeypatch.setattr(estimation, "_search", unconverged)
+        code, out, err = run(capsys, "compare", "--data", "aarset", "--models", "ed,egwgd",
+                             "--restarts", "1")
+        assert code == 2
+        assert err == "warning: not converged: egwgd\n"
+        assert [r["model"] for r in csv.DictReader(io.StringIO(out))] == ["ed", "egwgd"]
 
     def test_computes_no_competitor_covariance(self, capsys, monkeypatch):
         # only fit prints a competitor's covariance
@@ -431,3 +471,33 @@ class TestExitCodes:
         code, out, _ = run(capsys, "fit", "--data", "aarset", "--model", "egwgd")
         assert code == 2
         assert json.loads(out)["converged"] is False
+
+
+class TestProgramEntry:
+    """``python -m egwgd.cli`` freezes the collector after main returns; main does not."""
+
+    @staticmethod
+    def argvs(tmp_path):
+        constant = tmp_path / "constant.txt"
+        constant.write_text("3\n" * 10)
+        return {
+            "success": ["eval", *GOMPERTZ_FLAGS, "--x", "0.5,1"],
+            "usage": ["sample", *GOMPERTZ_FLAGS, "--n", "five", "--seed", "1"],
+            "unconverged": ["compare", "--data", str(constant), "--models", "ed,ged,gd"],
+        }
+
+    @pytest.mark.parametrize("case, status", [("success", 0), ("usage", 1), ("unconverged", 2)])
+    def test_program_prints_and_exits_as_main_returns(self, capsys, tmp_path, case, status):
+        argv = self.argvs(tmp_path)[case]
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("PYTHONUNBUFFERED", None)   # buffered stdio, whose flush at exit is checked
+        proc = subprocess.run([sys.executable, "-m", "egwgd.cli", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+        assert proc.returncode == status
+
+    def test_main_leaves_the_collector_unfrozen(self, capsys, tmp_path):
+        # library callers and in-process runners keep their collector
+        for argv in self.argvs(tmp_path).values():
+            run(capsys, *argv)
+        assert gc.get_freeze_count() == 0

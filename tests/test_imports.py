@@ -1,6 +1,7 @@
 """The import contract: ``import egwgd`` loads neither numpy nor scipy nor
 logging, no CLI command loads scipy, and each command loads only the package
-modules whose results it prints.
+modules whose results it prints: ``eval`` and ``sample`` load no
+``numerics``, the CSV commands no ``json``, and the fits no ``statistics``.
 
 The fit commands also start no worker: their speed comes from evaluating the
 restarts' points as the rows of one array pass, not from threads or processes.
@@ -11,6 +12,7 @@ process has long since imported every module of the package.
 
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -36,19 +38,22 @@ COMMANDS = {
     "fit": ["fit", "--data", "aarset", "--model", "ed"],
     "fit_egwgd": ["fit", "--data", "aarset", "--model", "egwgd", "--restarts", "1"],
     "compare": ["compare", "--data", "aarset", "--models", "ed,gd", "--restarts", "1"],
+    "compare_egwgd": ["compare", "--data", "aarset", "--models", "egwgd,ed,gd",
+                      "--restarts", "1"],
 }
+STDLIB = ("json", "statistics", "fractions", "decimal")   # modules some commands never need
 
-# runs argv (JSON) through cli.main and prints the exit code, the scipy
-# modules then loaded, the worker-pool modules (multiprocessing,
-# concurrent) then loaded, the number of Python threads started, and the
-# numpy, logging and egwgd modules then loaded; an empty argv only imports
-# the package
+# runs argv (its arguments) through cli.main and prints, as JSON, the exit
+# code, the scipy modules then loaded, the worker-pool modules
+# (multiprocessing, concurrent) then loaded, the number of Python threads
+# started, and the numpy, logging, egwgd and STDLIB modules then loaded; an
+# empty argv only imports the package.  It imports json only to print.
 _CHILD = """
-import contextlib, io, json, sys, threading
+import contextlib, io, sys, threading
 started = []
 start = threading.Thread.start
 threading.Thread.start = lambda self: (started.append(self.name), start(self))[1]
-argv = json.loads(sys.argv[1])
+argv = sys.argv[1:]
 if argv:
     from egwgd import cli
     with contextlib.redirect_stdout(io.StringIO()):
@@ -57,9 +62,11 @@ else:
     import egwgd
     code = 0
 loaded = lambda *tops: sorted(m for m in sys.modules if m.split(".")[0] in tops)
-print(json.dumps([code, loaded("scipy"), loaded("multiprocessing", "concurrent"), len(started),
-                  loaded("numpy"), loaded("logging"), loaded("egwgd")]))
-"""
+report = [code, loaded("scipy"), loaded("multiprocessing", "concurrent"), len(started),
+          loaded("numpy"), loaded("logging"), loaded("egwgd"), loaded(*%r)]
+import json
+print(json.dumps(report))
+""" % (STDLIB,)
 
 
 class Child(NamedTuple):
@@ -70,18 +77,18 @@ class Child(NamedTuple):
     numpy: set
     logging: set
     egwgd: set
+    stdlib: set
     stderr: str
 
 
 def run_child(argv) -> Child:
     """What argv did in a fresh interpreter (see _CHILD)."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argv)],
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, scipy, pools, threads, numpy, logging, own = json.loads(proc.stdout.splitlines()[-1])
-    return Child(code, set(scipy), set(pools), threads, set(numpy), set(logging), set(own),
-                 proc.stderr)
+    code, scipy, pools, threads, *modules = json.loads(proc.stdout.splitlines()[-1])
+    return Child(code, set(scipy), set(pools), threads, *map(set, modules), proc.stderr)
 
 
 def successful_child(argv) -> Child:
@@ -137,6 +144,39 @@ def test_competitor_fit_loads_no_estimation(children):
     assert not {"egwgd.estimation", "egwgd.gof"} & children["fit"].egwgd
 
 
+@pytest.mark.parametrize("name", ["eval", "sample"])
+def test_evaluators_load_no_numerics(children, name):
+    # distribution imports numerics only when find_root_increasing is asked for
+    assert "egwgd.distribution" in children[name].egwgd
+    assert "egwgd.numerics" not in children[name].egwgd
+
+
+@pytest.mark.parametrize("name", ["curves", "sample"])
+def test_csv_and_line_commands_load_no_json(children, name):
+    # only fit, reliability and eval print JSON, and each imports json itself
+    assert "json" not in children[name].stdlib
+
+
+def test_json_commands_load_json(children):
+    assert all("json" in children[name].stdlib for name in ("eval", "reliability", "fit"))
+
+
+@pytest.mark.parametrize("name", ["fit_egwgd", "compare_egwgd"])
+def test_fits_load_no_statistics(children, name):
+    # the Wald z comes from numerics._norm_ppf
+    assert "egwgd.estimation" in children[name].egwgd
+    assert not {"statistics", "fractions", "decimal"} & children[name].stdlib
+
+
+def test_distribution_serves_find_root_increasing():
+    # perfbench's tracer wraps the name on distribution; it is numerics' function
+    from egwgd import distribution, numerics
+
+    assert distribution.find_root_increasing is numerics.find_root_increasing
+    with pytest.raises(AttributeError):
+        distribution.no_such_name
+
+
 def test_eval_past_the_survival_edge_names_it_without_scipy():
     # hazard raises past the edge, and the Newton solve in log x names it
     law = ["--a", "0.5", "--b", "0.2", "--c", "0.3", "--d", "0.5", "--theta", "0.246"]
@@ -166,16 +206,11 @@ def test_fits_start_no_worker(argv):
     assert child.threads == 0
 
 
-@pytest.mark.parametrize("argv", [
-    COMMANDS["fit_egwgd"],
-    ["compare", "--data", "aarset", "--models", "egwgd,ed,gd", "--restarts", "1"],
-], ids=["fit", "compare"])
-def test_fits_load_no_numpy_ma(argv):
+@pytest.mark.parametrize("name", ["fit_egwgd", "compare_egwgd"], ids=["fit", "compare"])
+def test_fits_load_no_numpy_ma(children, name):
     # the anchors' median and the K-S distinct values are read off the
     # sorted data; np.median and np.unique would load numpy.ma
-    child = run_child(argv)
-    assert child.code == 0
-    assert not {m for m in child.numpy if m == "numpy.ma" or m.startswith("numpy.ma.")}
+    assert not {m for m in children[name].numpy if m == "numpy.ma" or m.startswith("numpy.ma.")}
 
 
 # prints OPENBLAS_NUM_THREADS, then the process's thread count (-1 where
@@ -241,13 +276,43 @@ def test_unknown_attribute_raises():
 
 
 def test_inv_cdf_is_norm_ppf_at_the_interval_levels():
-    # confidence_intervals takes its Wald z from statistics.NormalDist
-    from statistics import NormalDist
-
+    # confidence_intervals takes its Wald z from numerics._norm_ppf
     from scipy.stats import norm
+
+    from egwgd.numerics import _norm_ppf
 
     levels = np.concatenate([np.linspace(0.0, 1.0, 10_001)[1:-1],
                              [0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999]])
     q = 0.5 + levels / 2.0
-    z = np.array([NormalDist().inv_cdf(v) for v in q])
+    z = np.array([_norm_ppf(v) for v in q.tolist()])
     assert np.allclose(z, norm.ppf(q), rtol=2e-15, atol=0.0)
+
+
+def test_norm_ppf_is_normaldist_inv_cdf_bit_for_bit():
+    # the same AS241 operations in the same order, over both tails, both
+    # branch seams (|p - 0.5| = 0.425 and sqrt(-log p) = 5) and the extremes
+    from statistics import NormalDist
+
+    from egwgd.numerics import _norm_ppf
+
+    tails = np.logspace(-323.0, -0.4, 10_000)
+    seams = np.array([0.075, 0.925, math.exp(-25.0), -math.expm1(-25.0)])
+    p = np.concatenate([np.linspace(0.0, 1.0, 100_001)[1:-1], tails, 1.0 - tails[tails > 1e-16],
+                        seams, np.nextafter(seams, 0.0), np.nextafter(seams, 1.0),
+                        [5e-324, math.nextafter(1.0, 0.0)]]).tolist()
+    assert len(p) > 100_000
+    inv_cdf = NormalDist().inv_cdf
+    assert [_norm_ppf(v) for v in p] == [inv_cdf(v) for v in p]
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5])
+def test_norm_ppf_rejects_p_outside_the_unit_interval_as_normaldist_does(p):
+    from statistics import NormalDist
+
+    from egwgd.numerics import _norm_ppf
+
+    with pytest.raises(ValueError) as ours:
+        _norm_ppf(p)
+    with pytest.raises(ValueError) as theirs:
+        NormalDist().inv_cdf(p)
+    assert str(ours.value) == str(theirs.value)
